@@ -9,14 +9,30 @@ qualifying contact-ID digests (centralized mode).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
-from .crypto_ids import EPHID_BYTES, ExposureReport, contact_digest, report_id_set
+from .crypto_ids import EPHID_BYTES, EPOCHS_PER_DAY, ExposureReport, contact_digest, report_id_set
 
 RETENTION_DAYS = 14
 EXPOSURE_MIN_MINUTES = 15  # cumulative per day
 ATTENUATION_CUTOFF = 60  # lower = closer; records above this are ignored
+
+
+def _check_ids(observed: Iterable[bytes]) -> None:
+    for obs in observed:
+        if len(obs) != EPHID_BYTES:
+            raise ValueError(f"observed id must be {EPHID_BYTES} bytes")
+
+
+def _check_fields(epoch: int, duration_min: int, attenuation: int) -> None:
+    if not 0 <= epoch <= EPOCHS_PER_DAY - 1:
+        raise ValueError(f"epoch must be in 0..{EPOCHS_PER_DAY - 1}, got {epoch}")
+    if not 1 <= duration_min <= 15:
+        raise ValueError(f"duration_min must be in 1..15, got {duration_min}")
+    if not 0 <= attenuation <= 100:
+        raise ValueError(f"attenuation must be in 0..100, got {attenuation}")
 
 
 @dataclass(slots=True)
@@ -30,14 +46,8 @@ class EncounterRecord:
     attenuation: int
 
     def __post_init__(self) -> None:
-        if len(self.observed) != EPHID_BYTES:
-            raise ValueError(f"observed id must be {EPHID_BYTES} bytes")
-        if not 0 <= self.epoch <= 95:
-            raise ValueError(f"epoch must be in 0..95, got {self.epoch}")
-        if not 1 <= self.duration_min <= 15:
-            raise ValueError(f"duration_min must be in 1..15, got {self.duration_min}")
-        if not 0 <= self.attenuation <= 100:
-            raise ValueError(f"attenuation must be in 0..100, got {self.attenuation}")
+        _check_ids((self.observed,))
+        _check_fields(self.epoch, self.duration_min, self.attenuation)
 
 
 @dataclass(frozen=True)
@@ -49,29 +59,80 @@ class ExposureEvent:
     matched_epochs: tuple[int, ...]
 
 
+class _DayColumns:
+    """One day's records in columns: record k is ``observed[k]`` plus bytes
+    3k..3k+2 of ``fields``, its epoch, duration and attenuation.
+
+    Every validated field fits in a byte, so the log holds no Python object
+    per record beyond the observed ID itself.
+    """
+
+    __slots__ = ("observed", "fields")
+
+    def __init__(self) -> None:
+        self.observed: list[bytes] = []
+        self.fields = bytearray()
+
+    def rows(self) -> Iterator[tuple[bytes, int, int, int]]:
+        """(observed, epoch, duration_min, attenuation) per record."""
+        f = self.fields
+        return zip(self.observed, f[0::3], f[1::3], f[2::3])
+
+
 class ContactStore:
     """Append-only encounter log with retention pruning.
+
+    Records are kept per day, in columns.  ``records()`` and the export
+    list them day by day, in the order each day was first written, and
+    within a day in write order; for a log written in day order, as a
+    device writes it, that is write order.
 
     Duplicates are kept deliberately: the same (id, epoch) observed twice
     is a re-observation, and its durations add up.
     """
 
     def __init__(self, records: Iterable[EncounterRecord] = ()) -> None:
-        self._records: list[EncounterRecord] = list(records)
+        self._days: dict[int, _DayColumns] = {}
+        for rec in records:
+            self.record_encounter(rec)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(len(cols.observed) for cols in self._days.values())
 
     def records(self) -> list[EncounterRecord]:
-        return list(self._records)
+        return [
+            EncounterRecord(observed, day, epoch, duration, attenuation)
+            for day, cols in self._days.items()
+            for observed, epoch, duration, attenuation in cols.rows()
+        ]
 
     def record_encounter(self, rec: EncounterRecord) -> None:
-        self._records.append(rec)
+        self.record_observations((rec.observed,), rec.day, rec.epoch, rec.duration_min, rec.attenuation)
+
+    def record_observations(
+        self, observed: Sequence[bytes], day: int, epoch: int, duration_min: int, attenuation: int
+    ) -> None:
+        """Append one record per observed ID, all sharing one day, epoch,
+        duration and attenuation.
+
+        Validates like ``EncounterRecord`` and raises its ``ValueError``s;
+        on a failed check nothing is written.
+        """
+        _check_fields(epoch, duration_min, attenuation)
+        _check_ids(observed)
+        if not observed:
+            return
+        cols = self._days.get(day)
+        if cols is None:
+            cols = self._days[day] = _DayColumns()
+        cols.observed.extend(observed)
+        cols.fields += bytes((epoch, duration_min, attenuation)) * len(observed)
 
     def prune(self, today: int, retention_days: int = RETENTION_DAYS) -> None:
         """Drop records at or beyond the retention horizon; idempotent."""
         cutoff = today - retention_days
-        self._records = [r for r in self._records if r.day > cutoff]
+        for day in [d for d in self._days if d <= cutoff]:
+            del self._days[day]
 
     def check_exposure(
         self,
@@ -97,19 +158,24 @@ class ContactStore:
         min_minutes: int = EXPOSURE_MIN_MINUTES,
         attenuation_cutoff: int = ATTENUATION_CUTOFF,
     ) -> list[ExposureEvent]:
-        """Same as check_exposure but against a pre-expanded ID set."""
-        minutes: dict[int, int] = {}
-        epochs: dict[int, set[int]] = {}
-        for r in self._records:
-            if r.attenuation > attenuation_cutoff or r.observed not in ids:
+        """Same as check_exposure but against a pre-expanded ID set.
+
+        A day yields an event only if at least one record on it matched.
+        """
+        events = []
+        for day, cols in sorted(self._days.items()):
+            if ids.isdisjoint(cols.observed):
                 continue
-            minutes[r.day] = minutes.get(r.day, 0) + r.duration_min
-            epochs.setdefault(r.day, set()).add(r.epoch)
-        return [
-            ExposureEvent(day, total, tuple(sorted(epochs[day])))
-            for day, total in sorted(minutes.items())
-            if total >= min_minutes
-        ]
+            total, epochs = 0, set()
+            f = cols.fields
+            # offsets into ``fields`` of the matched records only
+            for k in compress(range(0, len(f), 3), map(ids.__contains__, cols.observed)):
+                if f[k + 2] <= attenuation_cutoff:
+                    total += f[k + 1]
+                    epochs.add(f[k])
+            if epochs and total >= min_minutes:
+                events.append(ExposureEvent(day, total, tuple(sorted(epochs))))
+        return events
 
     def qualifying_contact_digests(
         self,
@@ -125,23 +191,29 @@ class ContactStore:
         device can do without being able to link a contact's IDs.
         """
         minutes: dict[tuple[bytes, int], int] = {}
-        for r in self._records:
-            if r.attenuation > attenuation_cutoff:
+        for day, cols in self._days.items():
+            if window is not None and not window[0] <= day <= window[1]:
                 continue
-            if window is not None and not window[0] <= r.day <= window[1]:
-                continue
-            key = (r.observed, r.day)
-            minutes[key] = minutes.get(key, 0) + r.duration_min
+            for observed, _epoch, duration, attenuation in cols.rows():
+                if attenuation > attenuation_cutoff:
+                    continue
+                key = (observed, day)
+                minutes[key] = minutes.get(key, 0) + duration
         qualified = sorted({obs for (obs, _day), total in minutes.items() if total >= min_minutes})
         return [contact_digest(obs) for obs in qualified]
 
     # -- simulator checkpointing ------------------------------------------
 
     def export_lines(self) -> list[str]:
-        return [f"{r.day},{r.epoch},{r.duration_min},{r.attenuation},{r.observed.hex()}" for r in self._records]
+        return [
+            f"{day},{epoch},{duration},{attenuation},{observed.hex()}"
+            for day, cols in self._days.items()
+            for observed, epoch, duration, attenuation in cols.rows()
+        ]
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.export_lines()) + ("\n" if self._records else ""))
+        lines = self.export_lines()
+        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
     @classmethod
     def load(cls, path: str | Path) -> "ContactStore":

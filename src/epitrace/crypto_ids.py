@@ -23,6 +23,7 @@ SEED_BYTES = 32
 EPHID_BYTES = 16
 
 _EPHID_DOMAIN = b"EPHID"
+_EPOCH_SUFFIXES = tuple(_EPHID_DOMAIN + j.to_bytes(4, "big") for j in range(EPOCHS_PER_DAY))
 
 
 class NonContiguousDays(ValueError):
@@ -127,6 +128,22 @@ def derive_epoch_id(secret: bytes, epoch: int) -> bytes:
     return digest[:EPHID_BYTES]
 
 
+def epoch_ids(secret: bytes) -> list[bytes]:
+    """All 96 raw IDs of one daily secret, in epoch order.
+
+    Entry j equals ``derive_epoch_id(secret, j)``.  The per-epoch suffixes
+    are built once at import, and each hash starts from a copy of the state
+    after the secret, which is cheaper than a fresh hash object.
+    """
+    base = hashlib.sha256(secret)
+    out = []
+    for suffix in _EPOCH_SUFFIXES:
+        h = base.copy()
+        h.update(suffix)
+        out.append(h.digest()[:EPHID_BYTES])
+    return out
+
+
 def expand_epoch_ids(seed: DailySeed) -> IdSchedule:
     """Derive the full day's broadcast schedule from a daily seed."""
     ids = tuple(EphemeralID(derive_epoch_id(seed.secret, j)) for j in range(EPOCHS_PER_DAY))
@@ -147,8 +164,7 @@ def report_id_set(report: ExposureReport) -> set[bytes]:
     """Every raw ephemeral ID derivable from a report (all days, all epochs)."""
     out: set[bytes] = set()
     for secret in report.seeds:
-        for j in range(EPOCHS_PER_DAY):
-            out.add(derive_epoch_id(secret, j))
+        out.update(epoch_ids(secret))
     return out
 
 
@@ -181,8 +197,7 @@ class EscrowTable:
         if key in self._entries:
             raise DuplicateRegistration(f"registrant {registrant!r} already escrowed day {seed.day}")
         self._entries.add(key)
-        for j in range(EPOCHS_PER_DAY):
-            raw = derive_epoch_id(seed.secret, j)
+        for raw in epoch_ids(seed.secret):
             self._by_id[raw] = registrant
             self._by_digest[hashlib.sha256(raw).hexdigest()] = registrant
         return EscrowEntry(registrant, seed.day)

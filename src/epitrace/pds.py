@@ -15,9 +15,10 @@ import json
 import math
 import random
 import secrets
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,6 +29,8 @@ GRID_CELL_DEGREES = (0.001, 0.01, 0.1)
 BIN_MINUTES = (1, 15, 60, 1440)
 
 SNAPSHOT_SCHEMA = "epitrace-pds v1"
+
+_point_time = attrgetter("t")
 
 
 class TrackingStopped(RuntimeError):
@@ -283,14 +286,16 @@ class PersonalDataStore:
     def append_location(self, p: LocationPoint) -> None:
         if self._stopped:
             raise TrackingStopped("location collection has been stopped")
-        if self._points and p.t < self._points[-1].t:
-            insort(self._points, p, key=lambda q: q.t)
+        points = self._points
+        if points and p.t < points[-1].t:
+            insort(points, p, key=_point_time)
         else:
-            self._points.append(p)
+            points.append(p)
         if self._retention_days is not None:
-            cutoff = self._points[-1].t - self._retention_days * 86400
-            if self._points[0].t < cutoff:
-                self._points = [q for q in self._points if q.t >= cutoff]
+            # points stay sorted by t, so the expired ones are a prefix
+            cutoff = points[-1].t - self._retention_days * 86400
+            if points[0].t < cutoff:
+                del points[: bisect_left(points, cutoff, key=_point_time)]
 
     def grant_consent(self, purpose: Purpose) -> None:
         self._granted.add(purpose)

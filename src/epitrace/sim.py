@@ -28,18 +28,17 @@ import json
 import random
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 from typing import Sequence
 
 from .authority import LocationStore, PublicBoard, detect_hotspots, export_hotspots_json
-from .contact_store import ContactStore, EncounterRecord
-from .crypto_ids import DailySeed, derive_epoch_id, derive_next_seed, report_from_seeds, report_id_set
+from .contact_store import ContactStore
+from .crypto_ids import EPOCHS_PER_DAY, DailySeed, derive_next_seed, epoch_ids, report_from_seeds, report_id_set
 from .pds import Granularity, LocationPoint, PersonalDataStore, Purpose
 from .secure_agg import CellIndexSpace
 
 SECONDS_PER_EPOCH = 900
-EPOCHS_PER_DAY = 96
 WORK_START, WORK_END = 36, 68  # 09:00-17:00
 ERRAND_START, ERRAND_END = 68, 92  # 17:00-23:00
 QUARANTINE_DAYS = 14
@@ -233,7 +232,7 @@ class Agent:
         "id", "home", "work", "has_app", "state", "disease", "generation",
         "e_until", "i_until", "i_entry", "test_at", "tested", "q_until",
         "positive_hold", "cell", "errand_epoch", "errand_cell",
-        "seed_chain", "ephid_cache", "store", "pds",
+        "seed_chain", "day_ids", "store", "pds",
     )
 
     def __init__(self, agent_id: int, home: int, work: int, has_app: bool) -> None:
@@ -255,16 +254,9 @@ class Agent:
         self.errand_epoch = -1
         self.errand_cell = -1
         self.seed_chain: list[DailySeed] = []
-        self.ephid_cache: dict[int, bytes] = {}
+        self.day_ids: list[bytes] = []  # today's broadcast IDs, one per epoch
         self.store: ContactStore | None = None
         self.pds: PersonalDataStore | None = None
-
-    def current_ephid(self, epoch_of_day: int) -> bytes:
-        cached = self.ephid_cache.get(epoch_of_day)
-        if cached is None:
-            cached = derive_epoch_id(self.seed_chain[-1].secret, epoch_of_day)
-            self.ephid_cache[epoch_of_day] = cached
-        return cached
 
 
 class Simulation:
@@ -297,7 +289,8 @@ class Simulation:
         self._q_epochs = 0
         self._pairs_all: set[int] = set()
         self._pairs_app: set[int] = set()
-        self._partners: dict[int, dict[int, int]] = {}
+        self._partners: dict[int, set[int]] = {}
+        self._last_groups: dict[int, tuple[list[Agent], list[Agent]]] = {}  # cell -> (members, carriers)
 
         self.agents = self._build_agents()
         self._seed_index_cases()
@@ -341,7 +334,7 @@ class Simulation:
                 )
                 agent.pds.grant_consent(Purpose.LOCATION_UPLOAD)
                 agent.pds.grant_consent(Purpose.CONTACT_UPLOAD)
-                self._partners[aid] = {}
+                self._partners[aid] = set()
             agents.append(agent)
         return agents
 
@@ -398,7 +391,7 @@ class Simulation:
                     agent.seed_chain.append(derive_next_seed(agent.seed_chain[-1]))
                     if len(agent.seed_chain) > REPORT_WINDOW_DAYS:
                         del agent.seed_chain[0]
-                    agent.ephid_cache.clear()
+                agent.day_ids = epoch_ids(agent.seed_chain[-1].secret)
                 if prune_day:
                     # lazy retention: stale records cannot match a fresh
                     # report anyway (their IDs derive from seeds outside
@@ -501,33 +494,32 @@ class Simulation:
         )
 
     def _log_encounters(self, occupancy: dict[int, list[Agent]], day: int, eod: int) -> None:
+        # An agent is in one cell per epoch, so each carrier's records for
+        # this epoch come from one cell, in member order, whatever the cell
+        # order.  The pair sets only grow, so they change only when a cell's
+        # members differ from the last group logged there.
         n_agents = self.cfg.n_agents
-        pairs_all = self._pairs_all
-        pairs_app = self._pairs_app
-        for cell in sorted(occupancy):
-            members = occupancy[cell]
+        last_groups = self._last_groups
+        for cell, members in occupancy.items():
             if len(members) < 2:
                 continue
-            n = len(members)
-            for i in range(n):
-                a = members[i]
-                for j in range(i + 1, n):
-                    b = members[j]
-                    key = a.id * n_agents + b.id
-                    pairs_all.add(key)
-                    if not (a.has_app and b.has_app):
-                        continue
-                    pairs_app.add(key)
-                    eph_b = b.ephid_cache.get(eod) or b.current_ephid(eod)
-                    eph_a = a.ephid_cache.get(eod) or a.current_ephid(eod)
-                    a.store.record_encounter(
-                        EncounterRecord(eph_b, day, eod, ENCOUNTER_DURATION_MIN, ENCOUNTER_ATTENUATION)
-                    )
-                    b.store.record_encounter(
-                        EncounterRecord(eph_a, day, eod, ENCOUNTER_DURATION_MIN, ENCOUNTER_ATTENUATION)
-                    )
-                    self._partners[a.id][b.id] = day
-                    self._partners[b.id][a.id] = day
+            last = last_groups.get(cell)
+            if last is not None and last[0] == members:
+                carriers = last[1]
+            else:
+                carriers = [a for a in members if a.has_app]
+                last_groups[cell] = (members, carriers)
+                self._pairs_all.update([a.id * n_agents + b.id for a, b in combinations(members, 2)])
+                self._pairs_app.update([a.id * n_agents + b.id for a, b in combinations(carriers, 2)])
+                for a in carriers:
+                    self._partners[a.id].update([b.id for b in carriers if b is not a])
+            if len(carriers) < 2:
+                continue
+            ids = [a.day_ids[eod] for a in carriers]
+            for i, a in enumerate(carriers):
+                a.store.record_observations(
+                    ids[:i] + ids[i + 1 :], day, eod, ENCOUNTER_DURATION_MIN, ENCOUNTER_ATTENUATION
+                )
 
     def _progress_disease(self) -> None:
         now = self.epoch
@@ -642,7 +634,8 @@ class Simulation:
     def ground_truth_fomite_cells(self) -> set[tuple[int, int]]:
         return {e.cell for e in self.infections if e.channel == "fomite"}
 
-    def metrics(self) -> SimMetrics:
+    def metrics(self, hotspots: list | None = None) -> SimMetrics:
+        """Run metrics; ``hotspots`` reuses a ``detected_hotspots()`` result."""
         cfg = self.cfg
         infected_ids = {e.infectee for e in self.infections}
         total_infected = len(infected_ids)
@@ -669,7 +662,9 @@ class Simulation:
         traced_fraction = traced / len(transmissions) if transmissions else 0.0
 
         truth = self.ground_truth_fomite_cells()
-        hotspot_cells = {h.cell for h in self.detected_hotspots()}
+        if hotspots is None:
+            hotspots = self.detected_hotspots()
+        hotspot_cells = {h.cell for h in hotspots}
         if truth:
             recall = len(hotspot_cells & truth) / len(truth)
             precision = (len(hotspot_cells & truth) / len(hotspot_cells)) if hotspot_cells else None
@@ -712,10 +707,11 @@ class Simulation:
     def write_outputs(self, outdir: str | Path) -> None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        metrics = self.metrics()
+        hotspots = self.detected_hotspots()
+        metrics = self.metrics(hotspots)
         self._write_metrics_csv(outdir / "metrics.csv", metrics.r_eff_by_generation)
         self._write_events_log(outdir / "events.log")
-        export_hotspots_json(self.detected_hotspots(), outdir / "hotspots.json")
+        export_hotspots_json(hotspots, outdir / "hotspots.json")
         (outdir / "summary.json").write_text(json.dumps(metrics.to_json(), indent=2, sort_keys=True) + "\n")
 
     def _write_metrics_csv(self, path: Path, r_eff: list[float]) -> None:

@@ -234,3 +234,89 @@ class TestCheckpointFormat:
     def test_line_format(self):
         store = ContactStore([rec(observed=b"\xab" * 16, day=3, epoch=7, duration=12, attenuation=44)])
         assert store.export_lines() == ["3,7,12,44," + "ab" * 16]
+
+
+def random_batches(rng, report, n_batches):
+    """(observed IDs, day, epoch, duration, attenuation) batches, a third of
+    the IDs drawn from the report, days written out of order."""
+    pool = sorted(oracle_expand(report))
+    batches = []
+    for _ in range(n_batches):
+        observed = [
+            pool[rng.randrange(len(pool))] if rng.random() < 0.35 else rng.randbytes(16)
+            for _ in range(rng.randrange(0, 6))
+        ]
+        day = rng.randrange(report.first_day - 2, report.last_day + 3)
+        batches.append((observed, day, rng.randrange(96), rng.randrange(1, 16), rng.randrange(0, 101)))
+    return batches
+
+
+def stores_both_ways(batches):
+    sequential, bulk = ContactStore(), ContactStore()
+    for observed, day, epoch, duration, attenuation in batches:
+        for obs in observed:
+            sequential.record_encounter(rec(obs, day, epoch, duration, attenuation))
+        bulk.record_observations(observed, day, epoch, duration, attenuation)
+    return sequential, bulk
+
+
+class TestBulkRecording:
+    def test_bulk_path_equals_sequential_path(self, tmp_path):
+        rng = random.Random(123)
+        for trial in range(40):
+            chain = seed_chain(rng, rng.randrange(5), rng.randrange(1, 15))
+            report = report_from_seeds(chain)
+            sequential, bulk = stores_both_ways(random_batches(rng, report, rng.randrange(0, 120)))
+            assert len(bulk) == len(sequential)
+            assert bulk.records() == sequential.records()
+            assert bulk.export_lines() == sequential.export_lines()
+            bulk.save(tmp_path / f"bulk{trial}.csv")
+            sequential.save(tmp_path / f"seq{trial}.csv")
+            assert (tmp_path / f"bulk{trial}.csv").read_bytes() == (tmp_path / f"seq{trial}.csv").read_bytes()
+            assert ContactStore.load(tmp_path / f"bulk{trial}.csv").records() == bulk.records()
+            for store in (sequential, bulk):
+                got = [(e.day, e.cumulative_min, e.matched_epochs) for e in store.check_exposure(report)]
+                assert got == oracle_check(store, report)
+            today = rng.randrange(report.first_day, report.last_day + 16)
+            sequential.prune(today)
+            bulk.prune(today)
+            assert bulk.records() == sequential.records()
+            assert all(r.day > today - RETENTION_DAYS for r in bulk.records())
+            assert bulk.check_exposure(report) == sequential.check_exposure(report)
+
+    @pytest.mark.parametrize(
+        "epoch,duration,attenuation",
+        [(96, 15, 30), (-1, 15, 30), (0, 0, 30), (0, 16, 30), (0, 15, 101), (0, 15, -1)],
+    )
+    def test_bulk_rejects_bad_fields(self, epoch, duration, attenuation):
+        store = ContactStore()
+        with pytest.raises(ValueError):
+            store.record_observations([b"\x01" * 16], 0, epoch, duration, attenuation)
+        assert len(store) == 0
+
+    def test_bulk_rejects_bad_id_length_and_writes_nothing(self):
+        store = ContactStore()
+        store.record_observations([b"\x01" * 16], 0, 5, 15, 30)
+        for bad in (b"\x02" * 15, b"\x02" * 17, b""):
+            with pytest.raises(ValueError):
+                store.record_observations([b"\x01" * 16, bad, b"\x03" * 16], 0, 6, 15, 30)
+        assert store.export_lines() == ["0,5,15,30," + "01" * 16]
+
+    def test_records_listed_day_by_day_in_first_write_order(self):
+        store = ContactStore()
+        store.record_encounter(rec(observed=b"\x01" * 16, day=5))
+        store.record_encounter(rec(observed=b"\x02" * 16, day=3))
+        store.record_encounter(rec(observed=b"\x03" * 16, day=5))
+        assert [(r.day, r.observed[0]) for r in store.records()] == [(5, 1), (5, 3), (3, 2)]
+
+    def test_day_of_only_distant_matches_emits_nothing(self):
+        rng = random.Random(5)
+        report = report_from_seeds(seed_chain(rng, 0, 2))
+        ids = sorted(oracle_expand(report))
+        store = ContactStore()
+        # day 0: the only matches are too far away; day 1: no match at all
+        store.record_observations(ids[:3], 0, 4, 15, ATTENUATION_CUTOFF + 1)
+        store.record_observations([rng.randbytes(16)], 0, 5, 15, 10)
+        store.record_observations([rng.randbytes(16)], 1, 5, 15, 10)
+        assert store.check_exposure(report, min_minutes=0) == []
+        assert oracle_check(store, report, min_minutes=0) == []

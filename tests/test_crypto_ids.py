@@ -15,7 +15,9 @@ from epitrace.crypto_ids import (
     IdSchedule,
     NonContiguousDays,
     contact_digest,
+    derive_epoch_id,
     derive_next_seed,
+    epoch_ids,
     expand_epoch_ids,
     report_from_seeds,
     report_id_set,
@@ -83,6 +85,16 @@ class TestEphemeralIds:
         for _ in range(1000):
             sched = expand_epoch_ids(DailySeed(0, rng.randbytes(32)))
             assert len({e.bytes for e in sched.ids}) == 96
+
+    def test_batch_ids_match_single_derivation_and_pinned_vectors(self):
+        rng = random.Random(12)
+        for secret in [bytes(32)] + [rng.randbytes(32) for _ in range(20)]:
+            batch = epoch_ids(secret)
+            assert batch == [derive_epoch_id(secret, j) for j in range(EPOCHS_PER_DAY)]
+            assert batch == [
+                hashlib.sha256(secret + b"EPHID" + j.to_bytes(4, "big")).digest()[:16] for j in range(96)
+            ]
+        assert epoch_ids(bytes(32))[:2] == [bytes.fromhex(EPHID_ZERO_EPOCH0), bytes.fromhex(EPHID_ZERO_EPOCH1)]
 
     def test_id_length_validation(self):
         with pytest.raises(ValueError):

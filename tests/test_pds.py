@@ -349,3 +349,39 @@ def test_raw_points_never_leave_the_module():
             continue
         text = path.read_text()
         assert "_points" not in text, f"{path.name} reaches into raw location storage"
+
+
+def reference_append(points, p, retention_days):
+    """The list-filter retention prune, kept as the reference."""
+    if points and p.t < points[-1].t:
+        points.insert(next((i for i, q in enumerate(points) if q.t > p.t), len(points)), p)
+    else:
+        points.append(p)
+    cutoff = points[-1].t - retention_days * 86400
+    if points[0].t < cutoff:
+        points[:] = [q for q in points if q.t >= cutoff]
+
+
+class TestRetentionPrune:
+    def test_point_at_cutoff_kept_and_one_second_older_dropped(self):
+        pds = PersonalDataStore(retention_days=2)
+        for t in (0, 1, 2, 5):
+            pds.append_location(LocationPoint(0.0, 0.0, t))
+        pds.append_location(LocationPoint(0.0, 0.0, 2 * 86400 + 1))
+        assert [p.t for p in pds._points] == [1, 2, 5, 2 * 86400 + 1]  # noqa: SLF001
+
+    def test_matches_list_filter_with_out_of_order_appends(self):
+        rng = random.Random(31)
+        for retention_days in (1, 2, 15):
+            pds = PersonalDataStore(retention_days=retention_days)
+            reference = []
+            t = 0
+            for _ in range(1500):
+                t += rng.choice((0, 600, 3600, 86400 // 3))
+                # a third of the points arrive late, some right at the cutoff
+                late = rng.random() < 0.3
+                pt = t - rng.choice((1, 3600, retention_days * 86400)) if late else t
+                p = LocationPoint(rng.uniform(-1, 1), rng.uniform(-1, 1), max(0, pt))
+                pds.append_location(p)
+                reference_append(reference, p, retention_days)
+                assert pds._points == reference  # noqa: SLF001

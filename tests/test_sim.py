@@ -302,6 +302,24 @@ class TestArtifacts:
         seeds = [line for line in lines if "channel=seed" in line]
         assert len(seeds) == BASE.n_index_cases
 
+    def test_write_outputs_builds_density_map_once(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from epitrace.authority import LocationStore
+
+        sim = Simulation(replace(BASE, intervention=Intervention.CONTACT_AND_LOCATION))
+        sim.run()
+        builds = []
+        build = LocationStore.build_density_map
+
+        def counting_build(store, *args, **kwargs):
+            builds.append(1)
+            return build(store, *args, **kwargs)
+
+        monkeypatch.setattr(LocationStore, "build_density_map", counting_build)
+        sim.write_outputs(tmp_path)
+        assert len(builds) == 1
+
 
 class TestSweep:
     def test_grid_cardinality_and_determinism(self, tmp_path):
