@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import gt, le
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -118,24 +121,13 @@ class LocationStore:
     def infected_count_at(self, cell: Cell, bin_start: int) -> int:
         return self._infected.get((cell, bin_start), 0)
 
-    def observed_bins(self) -> list[int]:
-        return sorted({b for (_c, b) in self._infected})
-
-    def _bucket(self, counts: dict[tuple[Cell, int], int], space: CellIndexSpace) -> list[int]:
-        out = [0] * space.dimension
-        for (cell, bin_start), n in counts.items():
-            idx = space.index_of(cell, bin_start)
-            if idx is not None:
-                out[idx] += n
-        return out
-
     def build_density_map(self, space: CellIndexSpace, *, with_baseline: bool = False) -> "DensityMap":
-        infected = self._bucket(self._infected, space)
-        total = self._bucket(self._baseline, space) if with_baseline else None
+        infected = space.dense_counts(self._infected)
+        total = space.dense_counts(self._baseline) if with_baseline else None
         if total is not None:
             # the baseline covers the whole population, so it can never be
             # smaller than the positive-only counts it contains
-            total = [max(t, i) for t, i in zip(total, infected)]
+            total = list(map(max, total, infected))
         return DensityMap(space, tuple(infected), tuple(total) if total is not None else None)
 
 
@@ -158,12 +150,24 @@ class DensityMap:
         if self.total_counts is not None:
             if len(self.total_counts) != self.space.dimension:
                 raise ValueError("total_counts dimension mismatch")
-            for inf, tot in zip(self.infected_counts, self.total_counts):
-                if inf > tot:
-                    raise ValueError("infected count exceeds baseline")
+            if any(map(gt, self.infected_counts, self.total_counts)):
+                raise ValueError("infected count exceeds baseline")
 
     def published_counts(self, k_anon: int = K_ANON) -> list[int]:
         return [c if c >= k_anon else 0 for c in self.infected_counts]
+
+    def unsuppressed(self, k_anon: int = K_ANON) -> list[int]:
+        """Indices whose count reaches k_anon; every other entry publishes as 0.
+
+        When every count fits in a byte, one translate flags the entries and
+        a regex finds them, so Python work is per found entry only.
+        """
+        counts = self.infected_counts
+        try:
+            flags = bytes(counts).translate(bytes(k_anon <= b for b in range(256)))
+        except (TypeError, ValueError):  # a count outside 0..255
+            return list(compress(range(len(counts)), map(le, repeat(k_anon), counts)))
+        return [m.start() for m in re.finditer(b"\x01", flags)]
 
 
 @dataclass(frozen=True)
@@ -197,15 +201,12 @@ def detect_hotspots(dmap: DensityMap, *, k_anon: int = K_ANON, ratio_min: float 
     Sorted by infected count descending, then (cell, bin) ascending, so
     repeated calls give an identical total order.
     """
+    counts, totals = dmap.infected_counts, dmap.total_counts
     found: list[Hotspot] = []
-    for idx, count in enumerate(dmap.infected_counts):
-        if count < k_anon:
-            continue
+    for idx in dmap.unsuppressed(k_anon):
+        count = counts[idx]
         cell, bin_start = dmap.space.coordinate(idx)
-        if dmap.total_counts is None:
-            found.append(Hotspot(cell, bin_start, count, math.inf))
-            continue
-        baseline = dmap.total_counts[idx]
+        baseline = totals[idx] if totals is not None else 0
         if baseline == 0:
             found.append(Hotspot(cell, bin_start, count, math.inf))
         elif count / baseline >= ratio_min:
@@ -226,26 +227,25 @@ def publish_risk_map(dmap: DensityMap, hotspots: Sequence[Hotspot], *, k_anon: i
     Only suppressed counts feed the tercile levels, so no small-count cell
     can rise above level 0 unless it independently qualified as a hotspot.
     """
-    published = dmap.published_counts(k_anon)
-    hot = {(h.cell, h.bin_start) for h in hotspots}
-    hot_idx = {i for i in range(dmap.space.dimension) if dmap.space.coordinate(i) in hot}
+    space, counts = dmap.space, dmap.infected_counts
+    # hotspots outside the space or off a bin start match no entry
+    hot_idx = {space.exact_index(h.cell, h.bin_start) for h in hotspots} - {None}
+    rest = [i for i in dmap.unsuppressed(k_anon) if counts[i] > 0 and i not in hot_idx]
 
-    nonzero = sorted(published[i] for i in range(len(published)) if published[i] > 0 and i not in hot_idx)
-    levels = [0] * dmap.space.dimension
+    levels = [0] * space.dimension
     for i in hot_idx:
         levels[i] = 3
-    if nonzero:
-        m = len(nonzero)
-        upper = nonzero[(2 * m) // 3] if (2 * m) // 3 < m else nonzero[-1]
-        lower = nonzero[m // 3]
-        for i, count in enumerate(published):
-            if i in hot_idx or count == 0:
-                continue
+    if rest:
+        nonzero = sorted(counts[i] for i in rest)
+        upper = nonzero[2 * len(nonzero) // 3]
+        lower = nonzero[len(nonzero) // 3]
+        for i in rest:
+            count = counts[i]
             if count >= upper:
                 levels[i] = 2
             elif count >= lower:
                 levels[i] = 1
-    return RiskMap(dmap.space, tuple(levels))
+    return RiskMap(space, tuple(levels))
 
 
 # -- export formats ----------------------------------------------------------

@@ -25,7 +25,7 @@ from .secure_agg import (
     mask_contribution,
     seeds_for,
 )
-from .sim import ConfigError, Intervention, ScenarioConfig, Simulation, sweep
+from .sim import ConfigError, Intervention, ScenarioConfig, run_scenario, sweep
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -102,9 +102,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(ScenarioConfig.from_json_file(args.config), args)
-    sim = Simulation(cfg)
-    metrics = sim.run()
-    sim.write_outputs(args.out)
+    metrics = run_scenario(cfg, args.out)
     print(f"attack_rate={metrics.attack_rate:.4f} total_infected={metrics.total_infected}")
     print(f"traced_fraction={metrics.traced_fraction:.4f} quarantine_person_days={metrics.quarantine_person_days:.1f}")
     if metrics.r_eff_by_generation:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 MASK_MODULUS = 1 << 32
 ENTRY_BOUND = 1 << 16  # per-participant per-entry sanity bound
@@ -71,6 +72,10 @@ class CellIndexSpace:
     def _cell_index(self) -> dict[Cell, int]:
         return {c: i for i, c in enumerate(self.cells)}
 
+    @cached_property
+    def _bin_position(self) -> dict[int, int]:
+        return {b: i for i, b in enumerate(self.bins)}
+
     def bin_index(self, t: int) -> int | None:
         """Index of the bin containing timestamp t, or None if uncovered."""
         i = bisect_right(self.bins, t) - 1
@@ -82,14 +87,42 @@ class CellIndexSpace:
         ci = self._cell_index.get(cell)
         if ci is None:
             return None
-        bi = self.bin_index(t)
+        bi = self._bin_position.get(t)
         if bi is None:
+            bi = self.bin_index(t)
+            if bi is None:
+                return None
+        return ci * len(self.bins) + bi
+
+    def exact_index(self, cell: Cell, bin_start: int) -> int | None:
+        """Flat index of (cell, bin_start) when bin_start is exactly one of
+        the bins; unlike index_of, a time inside a bin does not match."""
+        ci = self._cell_index.get(cell)
+        bi = self._bin_position.get(bin_start)
+        if ci is None or bi is None:
             return None
         return ci * len(self.bins) + bi
 
     def coordinate(self, flat_index: int) -> tuple[Cell, int]:
         ci, bi = divmod(flat_index, len(self.bins))
         return self.cells[ci], self.bins[bi]
+
+    def dense_counts(self, counts: Mapping[tuple[Cell, int], int]) -> list[int]:
+        """Flat vector of counts keyed by (cell, timestamp), each added at
+        its index_of; keys outside the space are dropped."""
+        out = [0] * self.dimension
+        cell_index, bin_position, n_bins = self._cell_index, self._bin_position, len(self.bins)
+        for (cell, t), n in counts.items():  # index_of, inlined for the density pass
+            ci = cell_index.get(cell)
+            if ci is None:
+                continue
+            bi = bin_position.get(t)
+            if bi is None:
+                bi = self.bin_index(t)
+                if bi is None:
+                    continue
+            out[ci * n_bins + bi] += n
+        return out
 
 
 @dataclass(frozen=True)
@@ -109,12 +142,7 @@ class ContributionVector:
     @classmethod
     def from_visits(cls, space: CellIndexSpace, visits: Iterable[tuple[Cell, int]]) -> "ContributionVector":
         """Count (cell, timestamp) pairs; pairs outside the space are dropped."""
-        counts = [0] * space.dimension
-        for cell, t in visits:
-            idx = space.index_of(cell, t)
-            if idx is not None:
-                counts[idx] += 1
-        return cls(space, tuple(counts))
+        return cls(space, tuple(space.dense_counts(Counter(visits))))
 
 
 @dataclass(frozen=True)

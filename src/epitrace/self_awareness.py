@@ -10,7 +10,6 @@ published risk.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -176,38 +175,3 @@ def route_to_csv(path: Sequence[tuple[int, int]]) -> str:
     lines += [f"{i},{x},{y}" for i, (x, y) in enumerate(path)]
     return "\n".join(lines) + "\n"
 
-
-def score_to_json(score: ExposureScore) -> str:
-    return json.dumps(
-        {
-            "total": score.total,
-            "visits": [
-                {
-                    "cell": list(v.cell) if isinstance(v.cell, tuple) else v.cell,
-                    "bin_start": v.bin_start,
-                    "dwell_min": v.dwell_min,
-                    "contribution": c,
-                }
-                for v, c in score.per_visit
-            ],
-        },
-        indent=2,
-        sort_keys=True,
-    )
-
-
-def segments_to_json(segments: Sequence[RoutineSegment]) -> str:
-    return json.dumps(
-        [
-            {
-                "cell": list(s.cell) if isinstance(s.cell, tuple) else s.cell,
-                "bins": list(s.bins),
-                "days": s.days,
-                "visit_count": s.visit_count,
-                "risk_level": s.risk_level,
-            }
-            for s in segments
-        ],
-        indent=2,
-        sort_keys=True,
-    )

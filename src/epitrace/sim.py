@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -142,10 +143,14 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        for key in obj:
-            if key not in known:
+        if not isinstance(obj, dict):
+            raise ConfigError("<file>", "top-level config must be an object")
+        for key, value in obj.items():
+            if key not in cls.__dataclass_fields__:
                 raise ConfigError(key, "unknown config field")
+            kind = type(cls.__dataclass_fields__[key].default)
+            if kind in (int, float, str) and not _json_fits(value, kind):
+                raise ConfigError(key, f"expected {kind.__name__}, got {value!r}")
         kwargs = dict(obj)
         if "intervention" in kwargs:
             try:
@@ -153,10 +158,12 @@ class ScenarioConfig:
             except ValueError:
                 raise ConfigError("intervention", f"unknown intervention {kwargs['intervention']!r}") from None
         if "shared_space_cells" in kwargs:
-            try:
-                kwargs["shared_space_cells"] = tuple(tuple(int(v) for v in c) for c in kwargs["shared_space_cells"])
-            except (TypeError, ValueError):
-                raise ConfigError("shared_space_cells", "expected a list of [x, y] pairs") from None
+            cells = kwargs["shared_space_cells"]
+            if not isinstance(cells, (list, tuple)) or not all(
+                isinstance(c, (list, tuple)) and len(c) == 2 and all(_json_fits(v, int) for v in c) for c in cells
+            ):
+                raise ConfigError("shared_space_cells", "expected a list of [x, y] integer pairs")
+            kwargs["shared_space_cells"] = tuple(tuple(c) for c in cells)
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -167,9 +174,17 @@ class ScenarioConfig:
             obj = json.loads(Path(path).read_text())
         except json.JSONDecodeError as e:
             raise ConfigError("<file>", f"invalid JSON: {e}") from None
-        if not isinstance(obj, dict):
-            raise ConfigError("<file>", "top-level config must be an object")
         return cls.from_json(obj)
+
+
+def _json_fits(value, kind: type) -> bool:
+    """A JSON value for a field of type int, float or str: booleans are not
+    numbers, an int fits a float field, and numbers must be finite."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, kind)
 
 
 @dataclass(frozen=True)
@@ -351,11 +366,13 @@ class Simulation:
 
     # -- the epoch kernel ------------------------------------------------------
 
-    def run(self) -> SimMetrics:
+    def run(self, outdir: str | Path | None = None) -> SimMetrics:
+        """Step to the horizon and return the metrics; with ``outdir``, also
+        write the artifacts, from the same one density-map build."""
         total_epochs = self.cfg.horizon_days * EPOCHS_PER_DAY
         while self.epoch < total_epochs:
             self.step_epoch()
-        return self.metrics()
+        return self.metrics() if outdir is None else self.write_outputs(outdir)
 
     def step_epoch(self) -> None:
         day, eod = divmod(self.epoch, EPOCHS_PER_DAY)
@@ -704,7 +721,7 @@ class Simulation:
 
     # -- artifacts ----------------------------------------------------------------
 
-    def write_outputs(self, outdir: str | Path) -> None:
+    def write_outputs(self, outdir: str | Path) -> SimMetrics:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         hotspots = self.detected_hotspots()
@@ -713,6 +730,7 @@ class Simulation:
         self._write_events_log(outdir / "events.log")
         export_hotspots_json(hotspots, outdir / "hotspots.json")
         (outdir / "summary.json").write_text(json.dumps(metrics.to_json(), indent=2, sort_keys=True) + "\n")
+        return metrics
 
     def _write_metrics_csv(self, path: Path, r_eff: list[float]) -> None:
         with open(path, "w", newline="") as fh:
@@ -739,11 +757,7 @@ class Simulation:
 
 def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> SimMetrics:
     """Run one scenario to completion; optionally write the artifact files."""
-    sim = Simulation(cfg)
-    metrics = sim.run()
-    if outdir is not None:
-        sim.write_outputs(outdir)
-    return metrics
+    return Simulation(cfg).run(outdir)
 
 
 SWEEP_METRIC_COLUMNS = [

@@ -3,11 +3,13 @@
 import json
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 
 from epitrace.authority import (
     DensityMap,
+    Hotspot,
     LocationStore,
     PublicBoard,
     WrongPurpose,
@@ -293,3 +295,147 @@ class TestChannelSeparation:
         for p in pseudonyms:
             store.ingest_location_payload(location_payload([CoarsenedVisit((1, 1), 0, 1)], p))
         assert board.identifier_set().isdisjoint(pseudonyms)
+
+
+# -- publication pass vs. the per-index reference loops ------------------------
+
+DAY = 86400
+
+
+def ref_index_of(space, cell, t):
+    """index_of by a scan of the cells and a bisect of the bins."""
+    if cell not in space.cells:
+        return None
+    i = bisect_right(space.bins, t) - 1
+    if i < 0 or t >= space.bins[i] + space.bin_seconds:
+        return None
+    return space.cells.index(cell) * len(space.bins) + i
+
+
+def ref_bucket(keyed, space):
+    out = [0] * space.dimension
+    for (cell, t), n in keyed.items():
+        idx = ref_index_of(space, cell, t)
+        if idx is not None:
+            out[idx] += n
+    return out
+
+
+def ref_hotspots(dmap, k_anon, ratio_min=0.05):
+    found = []
+    for idx, count in enumerate(dmap.infected_counts):
+        if count < k_anon:
+            continue
+        cell, bin_start = dmap.space.coordinate(idx)
+        if dmap.total_counts is None:
+            found.append(Hotspot(cell, bin_start, count, math.inf))
+            continue
+        baseline = dmap.total_counts[idx]
+        if baseline == 0:
+            found.append(Hotspot(cell, bin_start, count, math.inf))
+        elif count / baseline >= ratio_min:
+            found.append(Hotspot(cell, bin_start, count, count / baseline))
+    found.sort(key=lambda h: (-h.infected_count, h.cell, h.bin_start))
+    return found
+
+
+def ref_levels(dmap, hotspots, k_anon):
+    published = [c if c >= k_anon else 0 for c in dmap.infected_counts]
+    hot = {(h.cell, h.bin_start) for h in hotspots}
+    hot_idx = {i for i in range(dmap.space.dimension) if dmap.space.coordinate(i) in hot}
+    nonzero = sorted(published[i] for i in range(len(published)) if published[i] > 0 and i not in hot_idx)
+    levels = [0] * dmap.space.dimension
+    for i in hot_idx:
+        levels[i] = 3
+    if nonzero:
+        m = len(nonzero)
+        upper = nonzero[(2 * m) // 3] if (2 * m) // 3 < m else nonzero[-1]
+        lower = nonzero[m // 3]
+        for i, count in enumerate(published):
+            if i in hot_idx or count == 0:
+                continue
+            if count >= upper:
+                levels[i] = 2
+            elif count >= lower:
+                levels[i] = 1
+    return tuple(levels)
+
+
+GRID = tuple((x, y) for x in range(5) for y in range(5))
+HOURLY = CellIndexSpace(GRID, tuple(h * 3600 for h in range(48)), 3600)
+QUERY_SPACES = {
+    "hourly": HOURLY,
+    "partial": CellIndexSpace(GRID[3:20] + ((9, 9),), tuple(h * 3600 for h in range(6, 40)), 3600),
+    "daily": CellIndexSpace(GRID, (0, DAY), DAY),
+    "offset-half-hours": CellIndexSpace(GRID, tuple(h * 3600 + 900 for h in range(0, 48, 2)), 1800),
+}
+
+
+def random_store(rng, density):
+    """A LocationStore plus the (cell, time) -> count dicts it holds, built
+    from payloads (some off the hour) and hourly aggregates."""
+    infected, baseline = {}, {}
+    store = LocationStore()
+    for uid in range(12):
+        visits = [
+            CoarsenedVisit(rng.choice(GRID), rng.randrange(48) * 3600 + rng.choice((0, 0, 0, 1200)), 1)
+            for _ in range(rng.randrange(30))
+        ]
+        store.ingest_location_payload(location_payload(visits, bytes([uid]) * 16))
+        for v in visits:
+            infected[(v.cell, v.bin_start)] = infected.get((v.cell, v.bin_start), 0) + 1
+    for target, flag in ((infected, False), (baseline, True)):
+        sums = [rng.choice((1, 4, 6, 9, 30, 200)) if rng.random() < density else 0 for _ in range(HOURLY.dimension)]
+        store.ingest_aggregate(HOURLY, sums, baseline=flag)
+        for idx, n in enumerate(sums):
+            if n:
+                key = HOURLY.coordinate(idx)
+                target[key] = target.get(key, 0) + n
+    return store, infected, baseline
+
+
+class TestPublicationPassMatchesReference:
+    @pytest.mark.parametrize("space_name", sorted(QUERY_SPACES))
+    @pytest.mark.parametrize(
+        "with_baseline,k_anon,density",
+        [(False, 5, 0.3), (True, 5, 0.3), (False, 2, 0.3), (True, 9, 0.6), (False, 5, 0.0)],
+    )
+    def test_seeded_maps(self, space_name, with_baseline, k_anon, density):
+        space = QUERY_SPACES[space_name]
+        for seed in range(8):
+            rng = random.Random(seed)
+            store, infected, baseline = random_store(rng, density)
+            dmap = store.build_density_map(space, with_baseline=with_baseline)
+            inf = ref_bucket(infected, space)
+            assert dmap.infected_counts == tuple(inf)
+            if with_baseline:
+                assert dmap.total_counts == tuple(max(t, i) for t, i in zip(ref_bucket(baseline, space), inf))
+            hotspots = detect_hotspots(dmap, k_anon=k_anon)
+            assert hotspots == ref_hotspots(dmap, k_anon)
+            extra = [
+                Hotspot((7, 7), space.bins[0], 99, math.inf),  # cell outside the space
+                Hotspot(space.cells[0], space.bins[0] + 1, 99, math.inf),  # inside a bin, not its start
+                Hotspot(space.cells[-1], space.bins[-1], 1, math.inf),
+            ]
+            for spots in (hotspots, hotspots + extra, extra, []):
+                assert publish_risk_map(dmap, spots, k_anon=k_anon).levels == ref_levels(dmap, spots, k_anon)
+            assert publish_risk_map(dmap, extra).levels[space.index_of(space.cells[0], space.bins[0])] != 3
+
+    def test_empty_map(self):
+        dmap = LocationStore().build_density_map(HOURLY, with_baseline=True)
+        assert detect_hotspots(dmap) == ref_hotspots(dmap, 5) == []
+        assert publish_risk_map(dmap, []).levels == ref_levels(dmap, [], 5)
+
+    def test_zero_threshold_and_zero_baseline(self):
+        # k_anon 0 lets zero counts through suppression: zero-baseline
+        # entries become inf-ratio hotspots, and zeros take no tercile level
+        rng = random.Random(3)
+        infected = tuple(rng.choice((0, 0, 1, 2, 8)) for _ in range(HOURLY.dimension))
+        total = tuple(i + rng.choice((0, 0, 3, 40)) if i else rng.choice((0, 5)) for i in infected)
+        dmap = DensityMap(HOURLY, infected, total)
+        for k_anon in (0, 1, 3):
+            hotspots = detect_hotspots(dmap, k_anon=k_anon)
+            assert hotspots == ref_hotspots(dmap, k_anon)
+            assert any(math.isinf(h.ratio) for h in hotspots) == (k_anon == 0)
+            for spots in (hotspots, hotspots[::7], []):
+                assert publish_risk_map(dmap, spots, k_anon=k_anon).levels == ref_levels(dmap, spots, k_anon)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from epitrace.cli import EXIT_OK, EXIT_USAGE, main
 
 MINIMAL_CONFIG = {
@@ -42,6 +44,22 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
         assert "adoption" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_agents", "5"), ("shared_space_cells", [[1, 2, 3]]), ("adoption", None), ("horizon_days", 1.5)],
+    )
+    def test_wrong_json_type_is_usage_error_naming_field(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, {field: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    def test_location_run_builds_density_map_once(self, tmp_path, density_builds):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "loc"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--mode", "contact+location"]) == EXIT_OK
+        assert len(density_builds) == 1
+        assert (out / "hotspots.json").exists()
 
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -2,8 +2,11 @@
 
 import hashlib
 import random
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from epitrace.secure_agg import (
     MASK_MODULUS,
@@ -191,6 +194,22 @@ class TestCellIndexSpace:
     def test_unknown_cell(self):
         space = CellIndexSpace(("a",), (0,))
         assert space.index_of("zzz", 0) is None
+
+    @given(
+        bins=st.lists(st.integers(-(10**6), 10**6), unique=True).map(sorted),
+        bin_seconds=st.integers(1, 10**5),
+        data=st.data(),
+    )
+    def test_index_of_matches_bisect(self, bins, bin_seconds, data):
+        # exact bin starts take the dict path; every other time the bisect
+        space = CellIndexSpace(("a", "b"), tuple(bins), bin_seconds)
+        times = st.integers(-(2 * 10**6), 2 * 10**6) | st.floats(allow_nan=False)
+        t = data.draw(st.sampled_from(bins) | times if bins else times)
+        i = bisect_right(bins, t) - 1
+        expected = i if i >= 0 and t < bins[i] + bin_seconds else None
+        assert space.index_of("a", t) == expected
+        assert space.index_of("b", t) == (None if expected is None else len(bins) + expected)
+        assert space.index_of("c", t) is None
 
 
 class TestContributionVector:

@@ -1,6 +1,8 @@
 """Simulator: determinism, degenerate dynamics, mode gating, audits."""
 
 import hashlib
+import json
+from dataclasses import replace
 
 import pytest
 
@@ -57,6 +59,32 @@ class TestConfigValidation:
                 {"width": 4, "height": 4, "n_workplaces": 4, "shared_space_cells": [[4, 0]]}
             )
         assert err.value.field == "shared_space_cells"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_agents", "5"),
+            ("horizon_days", 1.5),
+            ("seed", True),
+            ("adoption", None),
+            ("beta_fomite", float("nan")),
+            ("errand_mode", 3),
+            ("shared_space_cells", [[1, 2, 3]]),
+            ("shared_space_cells", [[1, "2"]]),
+            ("shared_space_cells", "2,2"),
+        ],
+    )
+    def test_wrong_json_type_names_field(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_json({field: value})
+        assert err.value.field == field
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_json([["n_agents", 5]])
+
+    def test_int_accepted_for_float_field(self):
+        assert ScenarioConfig.from_json({"adoption": 1}).adoption == 1
 
     def test_round_trip(self):
         cfg = ScenarioConfig.from_json(BASE.to_json())
@@ -302,23 +330,19 @@ class TestArtifacts:
         seeds = [line for line in lines if "channel=seed" in line]
         assert len(seeds) == BASE.n_index_cases
 
-    def test_write_outputs_builds_density_map_once(self, tmp_path, monkeypatch):
-        from dataclasses import replace
-
-        from epitrace.authority import LocationStore
-
+    def test_write_outputs_builds_density_map_once(self, tmp_path, density_builds):
         sim = Simulation(replace(BASE, intervention=Intervention.CONTACT_AND_LOCATION))
         sim.run()
-        builds = []
-        build = LocationStore.build_density_map
-
-        def counting_build(store, *args, **kwargs):
-            builds.append(1)
-            return build(store, *args, **kwargs)
-
-        monkeypatch.setattr(LocationStore, "build_density_map", counting_build)
+        density_builds.clear()
         sim.write_outputs(tmp_path)
-        assert len(builds) == 1
+        assert len(density_builds) == 1
+
+    def test_run_scenario_with_outputs_builds_density_map_once(self, tmp_path, density_builds):
+        cfg = replace(BASE, intervention=Intervention.CONTACT_AND_LOCATION)
+        metrics = run_scenario(cfg, tmp_path)
+        assert len(density_builds) == 1
+        assert metrics == run_scenario(cfg)
+        assert json.loads((tmp_path / "summary.json").read_text()) == metrics.to_json()
 
 
 class TestSweep:
