@@ -122,13 +122,12 @@ class LocationStore:
         return self._infected.get((cell, bin_start), 0)
 
     def build_density_map(self, space: CellIndexSpace, *, with_baseline: bool = False) -> "DensityMap":
-        infected = space.dense_counts(self._infected)
-        total = space.dense_counts(self._baseline) if with_baseline else None
-        if total is not None:
-            # the baseline covers the whole population, so it can never be
-            # smaller than the positive-only counts it contains
-            total = list(map(max, total, infected))
-        return DensityMap(space, tuple(infected), tuple(total) if total is not None else None)
+        infected = tuple(space.dense_counts(self._infected))
+        if not with_baseline:
+            return DensityMap(space, infected)
+        # the baseline covers the whole population, so it can never be
+        # smaller than the positive-only counts it contains
+        return DensityMap(space, infected, tuple(map(max, space.dense_counts(self._baseline), infected)))
 
 
 @dataclass(frozen=True)

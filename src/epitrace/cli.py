@@ -119,8 +119,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("<file>", f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or "base" not in obj or "sweep" not in obj:
         raise ConfigError("<file>", 'sweep config must be {"base": {...}, "sweep": {...}}')
-    base = ScenarioConfig.from_json(obj["base"])
-    base = _apply_overrides(base, args)
+    base = _apply_overrides(ScenarioConfig.from_json(obj["base"]), args)
     axes = obj["sweep"]
     if not isinstance(axes, dict) or not all(isinstance(v, list) for v in axes.values()):
         raise ConfigError("sweep", "each sweep axis must map a field to a list of values")

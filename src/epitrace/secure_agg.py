@@ -85,23 +85,17 @@ class CellIndexSpace:
 
     def index_of(self, cell: Cell, t: int) -> int | None:
         ci = self._cell_index.get(cell)
-        if ci is None:
-            return None
         bi = self._bin_position.get(t)
-        if bi is None:
+        if bi is None:  # not a bin start
             bi = self.bin_index(t)
-            if bi is None:
-                return None
+        if ci is None or bi is None:
+            return None
         return ci * len(self.bins) + bi
 
     def exact_index(self, cell: Cell, bin_start: int) -> int | None:
         """Flat index of (cell, bin_start) when bin_start is exactly one of
         the bins; unlike index_of, a time inside a bin does not match."""
-        ci = self._cell_index.get(cell)
-        bi = self._bin_position.get(bin_start)
-        if ci is None or bi is None:
-            return None
-        return ci * len(self.bins) + bi
+        return self.index_of(cell, bin_start) if bin_start in self._bin_position else None
 
     def coordinate(self, flat_index: int) -> tuple[Cell, int]:
         ci, bi = divmod(flat_index, len(self.bins))
@@ -111,17 +105,11 @@ class CellIndexSpace:
         """Flat vector of counts keyed by (cell, timestamp), each added at
         its index_of; keys outside the space are dropped."""
         out = [0] * self.dimension
-        cell_index, bin_position, n_bins = self._cell_index, self._bin_position, len(self.bins)
-        for (cell, t), n in counts.items():  # index_of, inlined for the density pass
-            ci = cell_index.get(cell)
-            if ci is None:
-                continue
-            bi = bin_position.get(t)
-            if bi is None:
-                bi = self.bin_index(t)
-                if bi is None:
-                    continue
-            out[ci * n_bins + bi] += n
+        index_of = self.index_of
+        for (cell, t), n in counts.items():
+            idx = index_of(cell, t)
+            if idx is not None:
+                out[idx] += n
         return out
 
 

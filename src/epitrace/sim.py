@@ -27,11 +27,11 @@ import csv
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import combinations, product
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from .authority import LocationStore, PublicBoard, detect_hotspots, export_hotspots_json
 from .contact_store import ContactStore
@@ -145,10 +145,11 @@ class ScenarioConfig:
     def from_json(cls, obj: dict) -> "ScenarioConfig":
         if not isinstance(obj, dict):
             raise ConfigError("<file>", "top-level config must be an object")
+        types = get_type_hints(cls)
         for key, value in obj.items():
-            if key not in cls.__dataclass_fields__:
+            if key not in types:
                 raise ConfigError(key, "unknown config field")
-            kind = type(cls.__dataclass_fields__[key].default)
+            kind = types[key]
             if kind in (int, float, str) and not _json_fits(value, kind):
                 raise ConfigError(key, f"expected {kind.__name__}, got {value!r}")
         kwargs = dict(obj)
@@ -366,13 +367,14 @@ class Simulation:
 
     # -- the epoch kernel ------------------------------------------------------
 
-    def run(self, outdir: str | Path | None = None) -> SimMetrics:
-        """Step to the horizon and return the metrics; with ``outdir``, also
-        write the artifacts, from the same one density-map build."""
+    def run(self) -> SimMetrics:
+        self._run_to_horizon()
+        return self.metrics()
+
+    def _run_to_horizon(self) -> None:
         total_epochs = self.cfg.horizon_days * EPOCHS_PER_DAY
         while self.epoch < total_epochs:
             self.step_epoch()
-        return self.metrics() if outdir is None else self.write_outputs(outdir)
 
     def step_epoch(self) -> None:
         day, eod = divmod(self.epoch, EPOCHS_PER_DAY)
@@ -756,8 +758,11 @@ class Simulation:
 
 
 def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> SimMetrics:
-    """Run one scenario to completion; optionally write the artifact files."""
-    return Simulation(cfg).run(outdir)
+    """Run one scenario to completion; optionally write the artifact files,
+    whose metrics come from the same one density-map build."""
+    sim = Simulation(cfg)
+    sim._run_to_horizon()
+    return sim.metrics() if outdir is None else sim.write_outputs(outdir)
 
 
 SWEEP_METRIC_COLUMNS = [
@@ -778,13 +783,13 @@ def sweep(base: ScenarioConfig, axes: dict[str, Sequence], out_csv: str | Path |
     sweep reproduces the same table.
     """
     names = list(axes)
+    grid = [dict(zip(names, combo)) for combo in product(*(axes[n] for n in names))]
+    # every grid point passes the config file's checks before anything runs
+    configs = [type(base).from_json({**base.to_json(), **overrides}) for overrides in grid]
     rows: list[dict] = []
-    for combo in product(*(axes[n] for n in names)):
-        overrides = dict(zip(names, combo))
-        if "intervention" in overrides and not isinstance(overrides["intervention"], Intervention):
-            overrides["intervention"] = Intervention(overrides["intervention"])
-        cfg = replace(base, **overrides)
-        cfg.validate()
+    for overrides, cfg in zip(grid, configs):
+        if "intervention" in overrides:
+            overrides["intervention"] = cfg.intervention
         metrics = run_scenario(cfg)
         row = {n: overrides[n] for n in names}
         for col in SWEEP_METRIC_COLUMNS:

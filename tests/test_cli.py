@@ -165,6 +165,13 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("adoption", None), ("horizon_days", 1.5), ("intervention", "teleport")])
+    def test_wrong_axis_value_is_usage_error_naming_field(self, tmp_path, capsys, field, value):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": MINIMAL_CONFIG, "sweep": {field: [value]}}))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
 
 def test_usage_error_on_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE

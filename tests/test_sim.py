@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -89,6 +89,16 @@ class TestConfigValidation:
     def test_round_trip(self):
         cfg = ScenarioConfig.from_json(BASE.to_json())
         assert cfg == BASE
+
+    def test_field_type_comes_from_annotation_not_default(self):
+        @dataclass(frozen=True)
+        class Wider(ScenarioConfig):
+            scale: float = 1
+
+        assert Wider.from_json({"scale": 0.5}).scale == 0.5
+        with pytest.raises(ConfigError) as err:
+            Wider.from_json({"scale": "0.5"})
+        assert err.value.field == "scale"
 
 
 class TestDeterminism:
@@ -363,3 +373,17 @@ class TestSweep:
         assert len(rows1) == 6
         assert rows1 == rows2
         assert (tmp_path / "sweep1.csv").read_bytes() == (tmp_path / "sweep2.csv").read_bytes()
+
+    @pytest.mark.parametrize("field,values", [("adoption", [0.5, None]), ("horizon_days", [2, 1.5]), ("seed", ["1"])])
+    def test_axis_value_checked_like_config_field_before_any_run(self, monkeypatch, field, values):
+        runs = []
+        monkeypatch.setattr("epitrace.sim.run_scenario", lambda cfg: runs.append(cfg))
+        with pytest.raises(ConfigError) as err:
+            sweep(BASE, {field: values})
+        assert err.value.field == field
+        assert runs == []
+
+    def test_intervention_axis_takes_names_and_members(self):
+        small = replace(BASE, n_agents=30, horizon_days=2, n_workplaces=10)
+        rows = sweep(small, {"intervention": ["contact", Intervention.NONE]})
+        assert [r["intervention"] for r in rows] == [Intervention.CONTACT_TRACING, Intervention.NONE]
