@@ -59,13 +59,18 @@ class PublicBoard:
         return [e.report for e in self._entries]
 
     def identifier_set(self) -> set[bytes]:
-        """Every byte-string identifier observable on the contact channel:
-        published seeds plus all IDs derivable from them."""
-        out: set[bytes] = set()
-        for e in self._entries:
-            out.update(e.report.seeds)
-            out.update(report_id_set(e.report))
-        return out
+        """Every identifier observable on the contact channel from the board."""
+        return channel_identifiers(self.reports())
+
+
+def channel_identifiers(reports: Iterable[ExposureReport]) -> set[bytes]:
+    """Every byte-string identifier observable on the contact channel from
+    these reports: published seeds plus all IDs derivable from them."""
+    out: set[bytes] = set()
+    for report in reports:
+        out.update(report.seeds)
+        out.update(report_id_set(report))
+    return out
 
 
 def resolve_and_notify(escrow: EscrowTable, contact_digests: Iterable[str]) -> set[str]:
@@ -275,13 +280,18 @@ def hotspots_to_json(hotspots: Sequence[Hotspot]) -> str:
     for h in hotspots:
         rows.append(
             {
-                "cell": list(h.cell) if isinstance(h.cell, tuple) else h.cell,
+                "cell": cell_to_json(h.cell),
                 "bin_start": h.bin_start,
                 "infected_count": h.infected_count,
                 "ratio": None if math.isinf(h.ratio) else h.ratio,
             }
         )
     return json.dumps(rows, indent=2, sort_keys=True)
+
+
+def cell_to_json(cell: Cell):
+    """JSON form of a cell: a tuple cell becomes a list, any other stays."""
+    return list(cell) if isinstance(cell, tuple) else cell
 
 
 def export_hotspots_json(hotspots: Sequence[Hotspot], path: str | Path) -> None:

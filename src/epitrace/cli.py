@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .authority import resolve_and_notify
+from .authority import cell_to_json, resolve_and_notify
 from .contact_store import ContactStore, EncounterRecord
 from .crypto_ids import DailySeed, EscrowTable, derive_epoch_id, derive_next_seed, report_from_seeds
 from .pds import CellLabelMap, Granularity, LocationPoint, SpatialLevel, coarsen
@@ -254,7 +254,7 @@ def cmd_coarsen_demo(args) -> int:
         cells = {v.cell for v in visits}
         lines.append(f"{label}: {len(visits)} visits across {len(cells)} cells")
         report[label] = [
-            {"cell": list(v.cell) if isinstance(v.cell, tuple) else v.cell, "bin_start": v.bin_start, "dwell_min": v.dwell_min}
+            {"cell": cell_to_json(v.cell), "bin_start": v.bin_start, "dwell_min": v.dwell_min}
             for v in visits
         ]
     print("\n".join(lines))

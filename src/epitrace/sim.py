@@ -33,7 +33,7 @@ from itertools import combinations, product
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
-from .authority import LocationStore, PublicBoard, detect_hotspots, export_hotspots_json
+from .authority import LocationStore, PublicBoard, channel_identifiers, detect_hotspots, export_hotspots_json
 from .contact_store import ContactStore
 from .crypto_ids import EPOCHS_PER_DAY, DailySeed, derive_next_seed, epoch_ids, report_from_seeds, report_id_set
 from .pds import Granularity, LocationPoint, PersonalDataStore, Purpose
@@ -711,11 +711,7 @@ class Simulation:
 
     def contact_channel_identifiers(self) -> set[bytes]:
         """Everything observable on the contact channel over the whole run."""
-        out: set[bytes] = set()
-        for report in self.published_reports:
-            out.update(report.seeds)
-            out.update(report_id_set(report))
-        return out
+        return channel_identifiers(self.published_reports)
 
     def location_channel_identifiers(self) -> set[bytes]:
         """Pseudonyms that crossed the location channel over the whole run."""

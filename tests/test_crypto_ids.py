@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from epitrace.crypto_ids import (
     EPOCHS_PER_DAY,
@@ -136,6 +138,20 @@ class TestExposureReports:
         blob = ExposureReport(0, (bytes(32),)).to_bytes()
         with pytest.raises(ValueError):
             ExposureReport.from_bytes(blob[:-1])
+
+    @given(
+        st.binary(max_size=120)
+        | st.tuples(st.binary(min_size=8, max_size=8), st.lists(st.binary(min_size=32, max_size=32), max_size=4)).map(
+            lambda t: t[0] + len(t[1]).to_bytes(4, "big") + b"".join(t[1])
+        )
+    )
+    def test_wire_decoder_round_trips_or_rejects(self, data):
+        # arbitrary bytes, plus well-framed ones (zero seeds included)
+        try:
+            report = ExposureReport.from_bytes(data)
+        except ValueError:
+            return
+        assert report.to_bytes() == data
 
     def test_expansion_matches_schedule_comparison(self):
         # match-by-recomputation and direct schedule comparison agree

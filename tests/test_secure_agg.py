@@ -164,6 +164,20 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             MaskedShare.from_bytes(blob[:-2])
 
+    @given(
+        st.binary(max_size=80)
+        | st.tuples(st.binary(min_size=4, max_size=4), st.lists(st.binary(min_size=4, max_size=4), max_size=8)).map(
+            lambda t: t[0] + len(t[1]).to_bytes(4, "big") + b"".join(t[1])
+        )
+    )
+    def test_decoder_round_trips_or_rejects(self, data):
+        # arbitrary bytes, plus well-framed ones so the decode branch runs
+        try:
+            share = MaskedShare.from_bytes(data)
+        except ValueError:
+            return
+        assert share.to_bytes() == data
+
 
 class TestCellIndexSpace:
     def test_dimension_and_round_trip(self):
@@ -226,3 +240,95 @@ class TestContributionVector:
         visits = [((0, 0), 0), ((0, 0), 1800), ((1, 1), 3600), ((9, 9), 0), ((0, 0), 99999)]
         v = ContributionVector.from_visits(space, visits)
         assert v.counts == (2, 0, 0, 1)
+
+
+# -- masking vs. the per-entry reference loops ----------------------------------
+
+# sha256 of the concatenated shares and of the aggregate (u32 BE words) of
+# pinned_round(), taken with the per-entry loops below
+PINNED_SHARES_SHA256 = "e3c0b31942c5a291e5fa12cf27a0c538c131beb491d1553d75f114bb5815575d"
+PINNED_AGGREGATE_SHA256 = "c6a521bc343bb78c154e352f83a6c1be2701647276a23d5f45666e4cc0507a54"
+
+
+def pinned_round():
+    # n=6: every participant but the ends has peers above and below it
+    return run_round(random.Random(4242), 6, 97)
+
+
+def ref_pairwise_mask(secret, dimension):
+    out = []
+    for k in range(dimension):
+        digest = hashlib.sha256(secret + b"MASK" + k.to_bytes(4, "big")).digest()
+        out.append(int.from_bytes(digest[:4], "big"))
+    return out
+
+
+def ref_mask_contribution(v, me, seeds, n):
+    by_peer = {}
+    for s in seeds:
+        if s.i == me:
+            by_peer[s.j] = s
+        elif s.j == me:
+            by_peer[s.i] = s
+    values = [c % MASK_MODULUS for c in v.counts]
+    d = len(values)
+    for peer, seed in sorted(by_peer.items()):
+        mask = ref_pairwise_mask(seed.secret, d)
+        if me < peer:
+            for k in range(d):
+                values[k] = (values[k] + mask[k]) % MASK_MODULUS
+        else:
+            for k in range(d):
+                values[k] = (values[k] - mask[k]) % MASK_MODULUS
+    return MaskedShare(me, tuple(values))
+
+
+def ref_aggregate(shares, dimension):
+    totals = [0] * dimension
+    for s in shares:
+        for k, val in enumerate(s.values):
+            totals[k] = (totals[k] + val) % MASK_MODULUS
+    return totals
+
+
+class TestReferenceEquivalence:
+    def test_pinned_shares(self):
+        _result, _oracle, shares, _vectors = pinned_round()
+        blob = b"".join(s.to_bytes() for s in shares)
+        assert hashlib.sha256(blob).hexdigest() == PINNED_SHARES_SHA256
+
+    def test_pinned_aggregate(self):
+        result, oracle, _shares, _vectors = pinned_round()
+        assert result == oracle
+        words = b"".join(v.to_bytes(4, "big") for v in result)
+        assert hashlib.sha256(words).hexdigest() == PINNED_AGGREGATE_SHA256
+
+    @pytest.mark.parametrize("dimension", [1, 2, 97, 1000])
+    def test_mask_matches_reference(self, dimension):
+        rng = random.Random(dimension)
+        for _ in range(3):
+            secret = rng.randbytes(32)
+            assert pairwise_mask(secret, dimension) == ref_pairwise_mask(secret, dimension)
+            assert pairwise_mask(PairwiseSeed(0, 1, secret), dimension) == ref_pairwise_mask(secret, dimension)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (1, 7), (2, 1), (3, 1), (5, 13), (7, 64)])
+    def test_round_matches_reference(self, n, d):
+        rng = random.Random(1000 * n + d)
+        space = flat_space(d)
+        vectors = [ContributionVector(space, tuple(rng.randrange(1 << 16) for _ in range(d))) for _ in range(n)]
+        seeds = make_pairwise_seeds(n, rng)
+        for i in range(n):
+            # the whole pool, so seeds that do not involve i are passed too
+            for pool in (seeds, seeds_for(i, seeds), list(reversed(seeds))):
+                assert mask_contribution(vectors[i], i, pool, n) == ref_mask_contribution(vectors[i], i, pool, n)
+        shares = [mask_contribution(vectors[i], i, seeds, n) for i in range(n)]
+        rng.shuffle(shares)
+        assert aggregate(shares, n, d) == ref_aggregate(shares, d)
+        assert aggregate(shares, n, d) == [sum(v.counts[k] for v in vectors) for k in range(d)]
+
+    def test_aggregate_wraps_like_reference(self):
+        # arbitrary u32 words, whose column sums exceed 2^32
+        rng = random.Random(11)
+        for n, d in [(0, 3), (1, 1), (4, 1), (9, 30)]:
+            shares = [MaskedShare(i, tuple(rng.randrange(MASK_MODULUS) for _ in range(d))) for i in range(n)]
+            assert aggregate(shares, n, d) == ref_aggregate(shares, d)
