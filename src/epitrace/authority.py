@@ -51,8 +51,8 @@ class PublicBoard:
     def publish_report(self, report: ExposureReport, published_day: int) -> None:
         self._entries.append(BoardEntry(report, published_day))
 
-    def prune(self, today: int, retention_days: int = RETENTION_DAYS) -> None:
-        cutoff = today - retention_days
+    def prune(self, today: int) -> None:
+        cutoff = today - RETENTION_DAYS
         self._entries = [e for e in self._entries if e.published_day > cutoff]
 
     def reports(self) -> list[ExposureReport]:
@@ -193,9 +193,10 @@ class RiskMap:
         if len(self.levels) != self.space.dimension:
             raise ValueError("levels dimension mismatch")
 
-    def level_at(self, cell: Cell, t: int, default: int = 0) -> int:
+    def level_at(self, cell: Cell, t: int) -> int:
+        """Level at a cell and time; 0 outside the space."""
         idx = self.space.index_of(cell, t)
-        return self.levels[idx] if idx is not None else default
+        return self.levels[idx] if idx is not None else 0
 
 
 def detect_hotspots(dmap: DensityMap, *, k_anon: int = K_ANON, ratio_min: float = RATIO_MIN) -> list[Hotspot]:
@@ -257,21 +258,20 @@ def publish_risk_map(dmap: DensityMap, hotspots: Sequence[Hotspot], *, k_anon: i
 
 def export_density_csv(dmap: DensityMap, path: str | Path, *, k_anon: int = K_ANON) -> None:
     """Published (suppressed) view only; grid cells as x,y columns."""
-    published = dmap.published_counts(k_anon)
-    lines = ["cell_x,cell_y,bin_start,count"]
-    for idx, count in enumerate(published):
-        cell, bin_start = dmap.space.coordinate(idx)
-        x, y = _cell_xy(cell)
-        lines.append(f"{x},{y},{bin_start},{count}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_dense_csv(dmap.space, dmap.published_counts(k_anon), "count", path)
 
 
 def export_risk_csv(rmap: RiskMap, path: str | Path) -> None:
-    lines = ["cell_x,cell_y,bin_start,level"]
-    for idx, level in enumerate(rmap.levels):
-        cell, bin_start = rmap.space.coordinate(idx)
+    _write_dense_csv(rmap.space, rmap.levels, "level", path)
+
+
+def _write_dense_csv(space: CellIndexSpace, values: Sequence[int], column: str, path: str | Path) -> None:
+    """One row per entry of a dense vector over ``space``, in index order."""
+    lines = [f"cell_x,cell_y,bin_start,{column}"]
+    for idx, value in enumerate(values):
+        cell, bin_start = space.coordinate(idx)
         x, y = _cell_xy(cell)
-        lines.append(f"{x},{y},{bin_start},{level}")
+        lines.append(f"{x},{y},{bin_start},{value}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

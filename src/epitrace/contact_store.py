@@ -128,9 +128,9 @@ class ContactStore:
         cols.observed.extend(observed)
         cols.fields += bytes((epoch, duration_min, attenuation)) * len(observed)
 
-    def prune(self, today: int, retention_days: int = RETENTION_DAYS) -> None:
+    def prune(self, today: int) -> None:
         """Drop records at or beyond the retention horizon; idempotent."""
-        cutoff = today - retention_days
+        cutoff = today - RETENTION_DAYS
         for day in [d for d in self._days if d <= cutoff]:
             del self._days[day]
 
@@ -139,24 +139,21 @@ class ContactStore:
         report: ExposureReport,
         *,
         min_minutes: int = EXPOSURE_MIN_MINUTES,
-        attenuation_cutoff: int = ATTENUATION_CUTOFF,
     ) -> list[ExposureEvent]:
         """Match a published report against the local log.
 
         A record matches when its observed ID re-derives from any of the
-        report's seeds and it was close enough.  Matched minutes accumulate
-        per day; each day at or above ``min_minutes`` yields one event.
+        report's seeds and its attenuation is at most ATTENUATION_CUTOFF.
+        Matched minutes accumulate per day; each day at or above
+        ``min_minutes`` yields one event.
         """
-        return self.check_exposure_ids(
-            report_id_set(report), min_minutes=min_minutes, attenuation_cutoff=attenuation_cutoff
-        )
+        return self.check_exposure_ids(report_id_set(report), min_minutes=min_minutes)
 
     def check_exposure_ids(
         self,
         ids: set[bytes],
         *,
         min_minutes: int = EXPOSURE_MIN_MINUTES,
-        attenuation_cutoff: int = ATTENUATION_CUTOFF,
     ) -> list[ExposureEvent]:
         """Same as check_exposure but against a pre-expanded ID set.
 
@@ -170,7 +167,7 @@ class ContactStore:
             f = cols.fields
             # offsets into ``fields`` of the matched records only
             for k in compress(range(0, len(f), 3), map(ids.__contains__, cols.observed)):
-                if f[k + 2] <= attenuation_cutoff:
+                if f[k + 2] <= ATTENUATION_CUTOFF:
                     total += f[k + 1]
                     epochs.add(f[k])
             if epochs and total >= min_minutes:
@@ -182,7 +179,6 @@ class ContactStore:
         window: tuple[int, int] | None = None,
         *,
         min_minutes: int = EXPOSURE_MIN_MINUTES,
-        attenuation_cutoff: int = ATTENUATION_CUTOFF,
     ) -> list[str]:
         """Digests of observed IDs whose per-day contact crossed the threshold.
 
@@ -195,7 +191,7 @@ class ContactStore:
             if window is not None and not window[0] <= day <= window[1]:
                 continue
             for observed, _epoch, duration, attenuation in cols.rows():
-                if attenuation > attenuation_cutoff:
+                if attenuation > ATTENUATION_CUTOFF:
                     continue
                 key = (observed, day)
                 minutes[key] = minutes.get(key, 0) + duration

@@ -96,9 +96,6 @@ class ExposureReport:
     def last_day(self) -> int:
         return self.first_day + len(self.seeds) - 1
 
-    def daily_seeds(self) -> list[DailySeed]:
-        return [DailySeed(self.first_day + i, s) for i, s in enumerate(self.seeds)]
-
     def to_bytes(self) -> bytes:
         """Wire encoding: first_day u64 BE, seed count u32 BE, raw secrets."""
         out = self.first_day.to_bytes(8, "big") + len(self.seeds).to_bytes(4, "big")
@@ -146,7 +143,7 @@ def epoch_ids(secret: bytes) -> list[bytes]:
 
 def expand_epoch_ids(seed: DailySeed) -> IdSchedule:
     """Derive the full day's broadcast schedule from a daily seed."""
-    ids = tuple(EphemeralID(derive_epoch_id(seed.secret, j)) for j in range(EPOCHS_PER_DAY))
+    ids = tuple(EphemeralID(raw) for raw in epoch_ids(seed.secret))
     return IdSchedule(seed.day, ids)
 
 
@@ -199,7 +196,7 @@ class EscrowTable:
         self._entries.add(key)
         for raw in epoch_ids(seed.secret):
             self._by_id[raw] = registrant
-            self._by_digest[hashlib.sha256(raw).hexdigest()] = registrant
+            self._by_digest[contact_digest(raw)] = registrant
         return EscrowEntry(registrant, seed.day)
 
     def resolve(self, ephemeral_id: EphemeralID | bytes) -> str | None:

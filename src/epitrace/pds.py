@@ -123,10 +123,6 @@ class Granularity:
     def to_json(self) -> dict:
         return {"spatial": self.spatial.value, "cell_deg": self.cell_deg, "bin_minutes": self.bin_minutes}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Granularity":
-        return cls(SpatialLevel(obj["spatial"]), obj.get("cell_deg"), obj["bin_minutes"])
-
 
 @dataclass(frozen=True, slots=True)
 class CoarsenedVisit:

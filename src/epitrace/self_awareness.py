@@ -65,8 +65,6 @@ def exposure_score(visits: Sequence[CoarsenedVisit], risk: RiskMap) -> ExposureS
 def flag_risky_segments(
     history: Sequence[CoarsenedVisit],
     risk: RiskMap,
-    *,
-    min_days: int = ROUTINE_MIN_DAYS,
 ) -> list[RoutineSegment]:
     """Routine cells (visited on enough distinct days) whose risk is 2+.
 
@@ -75,8 +73,8 @@ def flag_risky_segments(
     risk level, then visit frequency, descending.
     """
     days_seen = {v.bin_start // 86400 for v in history}
-    if len(days_seen) < min_days:
-        raise InsufficientHistory(f"history spans {len(days_seen)} days, need {min_days}")
+    if len(days_seen) < ROUTINE_MIN_DAYS:
+        raise InsufficientHistory(f"history spans {len(days_seen)} days, need {ROUTINE_MIN_DAYS}")
 
     by_cell: dict[object, list[CoarsenedVisit]] = {}
     for v in history:
@@ -85,7 +83,7 @@ def flag_risky_segments(
     flagged = []
     for cell, visits in by_cell.items():
         cell_days = {v.bin_start // 86400 for v in visits}
-        if len(cell_days) < min_days:
+        if len(cell_days) < ROUTINE_MIN_DAYS:
             continue
         level = max(risk.level_at(cell, v.bin_start) for v in visits)
         if level < 2:

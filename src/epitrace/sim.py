@@ -27,9 +27,10 @@ import csv
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
@@ -50,6 +51,7 @@ WORLD_CELL_DEG = 0.01  # one world cell = one Grid(0.01) cell
 PDS_SAMPLE_EVERY = 4  # one location fix per hour
 PDS_RETENTION_DAYS = 15
 STORE_PRUNE_EVERY_DAYS = 7
+DENSITY_BIN_SECONDS = 3600  # the analysis bins, as wide as the upload bins
 
 
 class ConfigError(ValueError):
@@ -124,8 +126,6 @@ class ScenarioConfig:
             raise ConfigError("n_index_cases", "must be in [0, n_agents]")
         if self.n_workplaces < 0:
             raise ConfigError("n_workplaces", "must be >= 0")
-        if self.n_workplaces > self.width * self.height:
-            raise ConfigError("n_workplaces", "more workplaces than cells")
         if self.errand_mode not in ("random", "staggered"):
             raise ConfigError("errand_mode", f"unknown mode {self.errand_mode!r}")
         if not 0 <= self.seed < 1 << 64:
@@ -134,6 +134,11 @@ class ScenarioConfig:
             x, y = cell
             if not (0 <= x < self.width and 0 <= y < self.height):
                 raise ConfigError("shared_space_cells", f"cell {cell} outside the grid")
+        n_residential = self.width * self.height - len({(x, y) for x, y in self.shared_space_cells})
+        if n_residential == 0:
+            raise ConfigError("shared_space_cells", "no non-shared cells left to live in")
+        if self.n_workplaces > n_residential:
+            raise ConfigError("n_workplaces", "more workplaces than non-shared cells")
 
     def to_json(self) -> dict:
         obj = asdict(self)
@@ -246,8 +251,8 @@ class Agent:
 
     __slots__ = (
         "id", "home", "work", "has_app", "state", "disease", "generation",
-        "e_until", "i_until", "i_entry", "test_at", "tested", "q_until",
-        "positive_hold", "cell", "errand_epoch", "errand_cell",
+        "e_until", "i_until", "test_at", "tested", "q_until",
+        "cell", "errand_epoch", "errand_cell",
         "seed_chain", "day_ids", "store", "pds",
     )
 
@@ -261,11 +266,9 @@ class Agent:
         self.generation: int | None = None
         self.e_until = 0.0
         self.i_until = 0.0
-        self.i_entry = -1
         self.test_at: float | None = None
         self.tested = False
         self.q_until = 0
-        self.positive_hold = False
         self.cell = home
         self.errand_epoch = -1
         self.errand_cell = -1
@@ -293,19 +296,21 @@ class Simulation:
         self.location_store = LocationStore()
         self.published_reports: list = []
         self._location_pseudonyms: set[bytes] = set()
-        self._sample_errand_fix = cfg.intervention.uploads_location
+        # a location fix reports the centre of the agent's cell
+        self._centres = [
+            ((x + 0.5) * WORLD_CELL_DEG, (y + 0.5) * WORLD_CELL_DEG)
+            for x in range(cfg.width)
+            for y in range(cfg.height)
+        ]
 
         self.infections: list[InfectionEvent] = []
         self.notifications: list[NotifyEvent] = []
         self.tests: list[TestEvent] = []
         self.day_rows: list[DayRow] = []
         self._new_infections_today = 0
-        self._gen_members: dict[int, int] = {}
-        self._gen_caused: dict[int, int] = {}
         self._q_epochs = 0
-        self._pairs_all: set[int] = set()
-        self._pairs_app: set[int] = set()
-        self._partners: dict[int, set[int]] = {}
+        # the contact graph: every agent ever co-located with each agent
+        self._partners: dict[int, set[int]] = {aid: set() for aid in range(cfg.n_agents)}
         self._last_groups: dict[int, tuple[list[Agent], list[Agent]]] = {}  # cell -> (members, carriers)
 
         self.agents = self._build_agents()
@@ -323,13 +328,7 @@ class Simulation:
         cfg, rng = self.cfg, self.rng
         shared = set(self._shared)
         residential = [c for c in range(self._n_cells) if c not in shared]
-        if not residential:
-            raise ConfigError("shared_space_cells", "no non-shared cells left to live in")
-        workplaces: list[int] = []
-        if cfg.n_workplaces > 0:
-            if cfg.n_workplaces > len(residential):
-                raise ConfigError("n_workplaces", "more workplaces than non-shared cells")
-            workplaces = rng.sample(residential, cfg.n_workplaces)
+        workplaces = rng.sample(residential, cfg.n_workplaces) if cfg.n_workplaces > 0 else []
         # quota sampling gives exactly round(p*N) carriers, so measured
         # adoption effects are not blurred by realized-p noise
         n_app = round(cfg.adoption * cfg.n_agents)
@@ -350,7 +349,6 @@ class Simulation:
                 )
                 agent.pds.grant_consent(Purpose.LOCATION_UPLOAD)
                 agent.pds.grant_consent(Purpose.CONTACT_UPLOAD)
-                self._partners[aid] = set()
             agents.append(agent)
         return agents
 
@@ -359,10 +357,8 @@ class Simulation:
             agent = self.agents[aid]
             agent.state = agent.disease = "I"
             agent.generation = 0
-            agent.i_entry = 0
             agent.i_until = self.rng.expovariate(1.0 / self.cfg.i_mean_days) * EPOCHS_PER_DAY
             agent.test_at = self.cfg.test_delay_days * EPOCHS_PER_DAY
-            self._gen_members[0] = self._gen_members.get(0, 0) + 1
             self.infections.append(InfectionEvent(0, aid, None, "seed", self.cell_xy(agent.home), 0))
 
     # -- the epoch kernel ------------------------------------------------------
@@ -434,7 +430,7 @@ class Simulation:
     def _move_agents(self, eod: int) -> dict[int, list[Agent]]:
         occupancy: dict[int, list[Agent]] = {}
         working = WORK_START <= eod < WORK_END
-        sample_errands = self._sample_errand_fix
+        sample_errands = self.cfg.intervention.uploads_location
         t = self.epoch * SECONDS_PER_EPOCH
         q_now = 0
         for agent in self.agents:
@@ -445,10 +441,8 @@ class Simulation:
                 cell = agent.errand_cell
                 if sample_errands and agent.pds is not None:
                     # hourly fixes would miss most 15-minute errands
-                    x, y = divmod(cell, self.height)
-                    agent.pds.append_location(
-                        LocationPoint((x + 0.5) * WORLD_CELL_DEG, (y + 0.5) * WORLD_CELL_DEG, t)
-                    )
+                    lat, lon = self._centres[cell]
+                    agent.pds.append_location(LocationPoint(lat, lon, t))
             elif working:
                 cell = agent.work
             else:
@@ -498,15 +492,10 @@ class Simulation:
                     self._infect(target, None, "fomite", cell)
 
     def _infect(self, target: Agent, source: Agent | None, channel: str, cell: int) -> None:
-        target.disease = "E"
-        if target.state == "S":
-            target.state = "E"
+        target.state = target.disease = "E"
         target.e_until = self.epoch + self.rng.expovariate(1.0 / self.cfg.e_mean_days) * EPOCHS_PER_DAY
         generation = 0 if source is None else source.generation + 1
         target.generation = generation
-        self._gen_members[generation] = self._gen_members.get(generation, 0) + 1
-        if source is not None:
-            self._gen_caused[source.generation] = self._gen_caused.get(source.generation, 0) + 1
         self._new_infections_today += 1
         self.infections.append(
             InfectionEvent(self.epoch, target.id, source.id if source else None, channel, self.cell_xy(cell), generation)
@@ -515,9 +504,9 @@ class Simulation:
     def _log_encounters(self, occupancy: dict[int, list[Agent]], day: int, eod: int) -> None:
         # An agent is in one cell per epoch, so each carrier's records for
         # this epoch come from one cell, in member order, whatever the cell
-        # order.  The pair sets only grow, so they change only when a cell's
-        # members differ from the last group logged there.
-        n_agents = self.cfg.n_agents
+        # order.  The contact graph only grows, so it changes only when a
+        # cell's members differ from the last group logged there.
+        partners = self._partners
         last_groups = self._last_groups
         for cell, members in occupancy.items():
             if len(members) < 2:
@@ -528,10 +517,11 @@ class Simulation:
             else:
                 carriers = [a for a in members if a.has_app]
                 last_groups[cell] = (members, carriers)
-                self._pairs_all.update([a.id * n_agents + b.id for a, b in combinations(members, 2)])
-                self._pairs_app.update([a.id * n_agents + b.id for a, b in combinations(carriers, 2)])
-                for a in carriers:
-                    self._partners[a.id].update([b.id for b in carriers if b is not a])
+                member_ids = [a.id for a in members]
+                for aid in member_ids:
+                    peers = partners[aid]
+                    peers.update(member_ids)
+                    peers.discard(aid)
             if len(carriers) < 2:
                 continue
             ids = [a.day_ids[eod] for a in carriers]
@@ -547,7 +537,6 @@ class Simulation:
             if disease == "E":
                 if now >= agent.e_until:
                     agent.disease = "I"
-                    agent.i_entry = now
                     agent.i_until = now + self.rng.expovariate(1.0 / self.cfg.i_mean_days) * EPOCHS_PER_DAY
                     agent.test_at = now + self.cfg.test_delay_days * EPOCHS_PER_DAY
                     if agent.state == "E":
@@ -558,9 +547,9 @@ class Simulation:
                     if agent.state == "I":
                         agent.state = "R"
             if agent.state == "Q" and now >= agent.q_until:
-                if not agent.positive_hold or agent.disease == "R":
+                # a positive stays in isolation until recovered
+                if not agent.tested or agent.disease == "R":
                     agent.state = agent.disease
-                    agent.positive_hold = False
 
     def _run_tests(self, day: int) -> None:
         now = self.epoch
@@ -576,7 +565,6 @@ class Simulation:
         """Isolate a confirmed positive and fire the mode's app channels."""
         agent.tested = True
         agent.state = "Q"
-        agent.positive_hold = True
         agent.q_until = self.epoch + QUARANTINE_DAYS * EPOCHS_PER_DAY
         self.tests.append(TestEvent(self.epoch, agent.id))
 
@@ -588,9 +576,9 @@ class Simulation:
         self.board.publish_report(report, published_day=day)
         self.published_reports.append(report)
         ids = report_id_set(report)
-        for peer_id in sorted(self._partners.get(agent.id, ())):
+        for peer_id in sorted(self._partners[agent.id]):
             peer = self.agents[peer_id]
-            if peer.id == agent.id or not peer.has_app:
+            if not peer.has_app:
                 continue
             events = peer.store.check_exposure_ids(ids)
             if not events:
@@ -616,10 +604,8 @@ class Simulation:
         for agent in self.agents:
             if agent.pds is None:
                 continue
-            x, y = self.cell_xy(agent.cell)
-            agent.pds.append_location(
-                LocationPoint((x + 0.5) * WORLD_CELL_DEG, (y + 0.5) * WORLD_CELL_DEG, t)
-            )
+            lat, lon = self._centres[agent.cell]
+            agent.pds.append_location(LocationPoint(lat, lon, t))
 
     def _close_day(self, day: int) -> None:
         counts = {"S": 0, "E": 0, "I": 0, "R": 0, "Q": 0}
@@ -633,7 +619,7 @@ class Simulation:
 
     # -- results ---------------------------------------------------------------
 
-    def density_space(self, bin_seconds: int = 3600) -> CellIndexSpace:
+    def density_space(self) -> CellIndexSpace:
         """Analysis space over every world cell, binned like the uploads.
 
         Hourly bins keep the anonymity threshold meaningful: one uploader
@@ -641,8 +627,8 @@ class Simulation:
         K_ANON really means K_ANON people, not one person dwelling.
         """
         cells = tuple((x, y) for x in range(self.width) for y in range(self.height))
-        bins = tuple(b * bin_seconds for b in range(self.cfg.horizon_days * 86400 // bin_seconds))
-        return CellIndexSpace(cells, bins, bin_seconds)
+        bins = tuple(b * DENSITY_BIN_SECONDS for b in range(self.cfg.horizon_days * 86400 // DENSITY_BIN_SECONDS))
+        return CellIndexSpace(cells, bins, DENSITY_BIN_SECONDS)
 
     def detected_hotspots(self):
         if not self.cfg.intervention.uploads_location:
@@ -659,12 +645,9 @@ class Simulation:
         infected_ids = {e.infectee for e in self.infections}
         total_infected = len(infected_ids)
 
-        max_gen = max(self._gen_members) if self._gen_members else -1
-        r_eff = [
-            self._gen_caused.get(g, 0) / self._gen_members[g]
-            for g in range(max_gen + 1)
-            if self._gen_members.get(g)
-        ]
+        members = Counter(e.generation for e in self.infections)
+        caused = Counter(e.generation - 1 for e in self.infections if e.infector is not None)
+        r_eff = [caused[g] / members[g] for g in range(max(members, default=-1) + 1) if members[g]]
 
         transmissions = [e for e in self.infections if e.channel != "seed"]
         traced = 0
@@ -691,7 +674,11 @@ class Simulation:
             recall = None
             precision = None
 
-        pair_fraction = (len(self._pairs_app) / len(self._pairs_all)) if self._pairs_all else None
+        # the contact graph counts each pair once from each end
+        contact_pairs = sum(map(len, self._partners.values())) // 2
+        carriers = {a.id for a in self.agents if a.has_app}
+        carrier_pairs = sum(len(self._partners[aid] & carriers) for aid in carriers) // 2
+        pair_fraction = carrier_pairs / contact_pairs if contact_pairs else None
 
         return SimMetrics(
             n_agents=cfg.n_agents,
@@ -704,7 +691,7 @@ class Simulation:
             hotspot_precision=precision,
             quarantine_person_days=self._q_epochs / EPOCHS_PER_DAY,
             detectable_pair_fraction=pair_fraction,
-            contact_pairs=len(self._pairs_all),
+            contact_pairs=contact_pairs,
         )
 
     # -- channel audit -----------------------------------------------------------

@@ -374,7 +374,17 @@ class TestSweep:
         assert rows1 == rows2
         assert (tmp_path / "sweep1.csv").read_bytes() == (tmp_path / "sweep2.csv").read_bytes()
 
-    @pytest.mark.parametrize("field,values", [("adoption", [0.5, None]), ("horizon_days", [2, 1.5]), ("seed", ["1"])])
+    @pytest.mark.parametrize(
+        "field,values",
+        [
+            ("adoption", [0.5, None]),
+            ("horizon_days", [2, 1.5]),
+            ("seed", ["1"]),
+            # world-shape checks: BASE leaves 141 of its 144 cells non-shared
+            ("n_workplaces", [40, 143]),
+            ("shared_space_cells", [[], [[x, y] for x in range(12) for y in range(12)]]),
+        ],
+    )
     def test_axis_value_checked_like_config_field_before_any_run(self, monkeypatch, field, values):
         runs = []
         monkeypatch.setattr("epitrace.sim.run_scenario", lambda cfg: runs.append(cfg))
