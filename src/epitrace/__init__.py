@@ -9,12 +9,9 @@ agent-based simulator that wires them together.
 from .crypto_ids import (
     EPOCHS_PER_DAY,
     DailySeed,
-    EphemeralID,
     EscrowTable,
     ExposureReport,
-    IdSchedule,
     derive_next_seed,
-    expand_epoch_ids,
     report_from_seeds,
 )
 from .contact_store import ContactStore, EncounterRecord, ExposureEvent

@@ -79,12 +79,7 @@ def resolve_and_notify(escrow: EscrowTable, contact_digests: Iterable[str]) -> s
     Each registrant appears at most once no matter how many of their IDs
     were submitted.
     """
-    notified: set[str] = set()
-    for digest in contact_digests:
-        registrant = escrow.resolve_digest(digest)
-        if registrant is not None:
-            notified.add(registrant)
-    return notified
+    return set(map(escrow.resolve_digest, contact_digests)) - {None}
 
 
 class LocationStore:
@@ -276,16 +271,15 @@ def _write_dense_csv(space: CellIndexSpace, values: Sequence[int], column: str, 
 
 
 def hotspots_to_json(hotspots: Sequence[Hotspot]) -> str:
-    rows = []
-    for h in hotspots:
-        rows.append(
-            {
-                "cell": cell_to_json(h.cell),
-                "bin_start": h.bin_start,
-                "infected_count": h.infected_count,
-                "ratio": None if math.isinf(h.ratio) else h.ratio,
-            }
-        )
+    rows = [
+        {
+            "cell": cell_to_json(h.cell),
+            "bin_start": h.bin_start,
+            "infected_count": h.infected_count,
+            "ratio": None if math.isinf(h.ratio) else h.ratio,
+        }
+        for h in hotspots
+    ]
     return json.dumps(rows, indent=2, sort_keys=True)
 
 

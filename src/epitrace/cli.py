@@ -126,7 +126,6 @@ def cmd_sweep(args) -> int:
     for name in axes:
         if name not in ScenarioConfig.__dataclass_fields__:
             raise ConfigError(name, "unknown sweep field")
-    args.out.mkdir(parents=True, exist_ok=True)
     rows = sweep(base, axes, out_csv=args.out / "sweep.csv")
     print(f"{len(rows)} runs -> {args.out / 'sweep.csv'}")
     return EXIT_OK

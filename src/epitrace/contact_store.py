@@ -20,19 +20,20 @@ EXPOSURE_MIN_MINUTES = 15  # cumulative per day
 ATTENUATION_CUTOFF = 60  # lower = closer; records above this are ignored
 
 
-def _check_ids(observed: Iterable[bytes]) -> None:
-    for obs in observed:
-        if len(obs) != EPHID_BYTES:
-            raise ValueError(f"observed id must be {EPHID_BYTES} bytes")
-
-
-def _check_fields(epoch: int, duration_min: int, attenuation: int) -> None:
+def _check_epoch(epoch: int) -> None:
     if not 0 <= epoch <= EPOCHS_PER_DAY - 1:
         raise ValueError(f"epoch must be in 0..{EPOCHS_PER_DAY - 1}, got {epoch}")
+
+
+def _check_fields(duration_min: int, attenuation: int) -> None:
     if not 1 <= duration_min <= 15:
         raise ValueError(f"duration_min must be in 1..15, got {duration_min}")
     if not 0 <= attenuation <= 100:
         raise ValueError(f"attenuation must be in 0..100, got {attenuation}")
+
+
+_VALID_EPOCHS = bytes(range(EPOCHS_PER_DAY))
+_ONE_BYTE = tuple(bytes((b,)) for b in range(256))  # built once, not on every write
 
 
 @dataclass(slots=True)
@@ -46,8 +47,19 @@ class EncounterRecord:
     attenuation: int
 
     def __post_init__(self) -> None:
-        _check_ids((self.observed,))
-        _check_fields(self.epoch, self.duration_min, self.attenuation)
+        if len(self.observed) != EPHID_BYTES:
+            raise ValueError(f"observed id must be {EPHID_BYTES} bytes")
+        _check_epoch(self.epoch)
+        _check_fields(self.duration_min, self.attenuation)
+
+
+def _stored_record(observed: bytes, day: int, epoch: int, duration_min: int, attenuation: int) -> EncounterRecord:
+    """A record of fields the store checked when they were written, built
+    without checking them again."""
+    rec = object.__new__(EncounterRecord)
+    rec.observed, rec.day, rec.epoch = observed, day, epoch
+    rec.duration_min, rec.attenuation = duration_min, attenuation
+    return rec
 
 
 @dataclass(frozen=True)
@@ -60,23 +72,24 @@ class ExposureEvent:
 
 
 class _DayColumns:
-    """One day's records in columns: record k is ``observed[k]`` plus bytes
-    3k..3k+2 of ``fields``, its epoch, duration and attenuation.
+    """One day's records in columns: record k is ``observed[k]`` with byte k
+    of ``epochs``, ``durations`` and ``attenuations``.
 
     Every validated field fits in a byte, so the log holds no Python object
     per record beyond the observed ID itself.
     """
 
-    __slots__ = ("observed", "fields")
+    __slots__ = ("observed", "epochs", "durations", "attenuations")
 
     def __init__(self) -> None:
         self.observed: list[bytes] = []
-        self.fields = bytearray()
+        self.epochs = bytearray()
+        self.durations = bytearray()
+        self.attenuations = bytearray()
 
     def rows(self) -> Iterator[tuple[bytes, int, int, int]]:
         """(observed, epoch, duration_min, attenuation) per record."""
-        f = self.fields
-        return zip(self.observed, f[0::3], f[1::3], f[2::3])
+        return zip(self.observed, self.epochs, self.durations, self.attenuations)
 
 
 class ContactStore:
@@ -101,32 +114,50 @@ class ContactStore:
 
     def records(self) -> list[EncounterRecord]:
         return [
-            EncounterRecord(observed, day, epoch, duration, attenuation)
+            _stored_record(observed, day, epoch, duration, attenuation)
             for day, cols in self._days.items()
             for observed, epoch, duration, attenuation in cols.rows()
         ]
 
     def record_encounter(self, rec: EncounterRecord) -> None:
-        self.record_observations((rec.observed,), rec.day, rec.epoch, rec.duration_min, rec.attenuation)
+        self.record_observations((rec.observed,), rec.day, (rec.epoch,), rec.duration_min, rec.attenuation)
 
     def record_observations(
-        self, observed: Sequence[bytes], day: int, epoch: int, duration_min: int, attenuation: int
+        self, observed: Sequence[bytes], day: int, epochs: Sequence[int], duration_min: int, attenuation: int
     ) -> None:
-        """Append one record per observed ID, all sharing one day, epoch,
-        duration and attenuation.
+        """Append record k as ID ``observed[k]`` seen in epoch ``epochs[k]``;
+        the batch shares one day, duration and attenuation.
 
-        Validates like ``EncounterRecord`` and raises its ``ValueError``s;
-        on a failed check nothing is written.
+        Validates like ``EncounterRecord`` and raises its ``ValueError``s,
+        one for a length mismatch, and ``TypeError`` for an int in place of
+        ``epochs``; on a failed check nothing is written.
         """
-        _check_fields(epoch, duration_min, attenuation)
-        _check_ids(observed)
-        if not observed:
+        _check_fields(duration_min, attenuation)
+        n = len(observed)
+        try:
+            packed = bytes(epochs)
+        except ValueError:  # an epoch outside 0..255
+            packed = None
+        # C-level checks of the whole column (deleting every valid epoch
+        # leaves the bad ones); a failure is named one epoch at a time
+        if packed is None or len(packed) != n or packed.translate(None, _VALID_EPOCHS) or isinstance(epochs, int):
+            if isinstance(epochs, int):  # bytes(n) would read it as n zero epochs
+                raise TypeError("epochs must be a sequence with one epoch per observed id")
+            for epoch in epochs:
+                _check_epoch(epoch)
+            raise ValueError(f"{n} observed ids but {len(epochs)} epochs")
+        for obs in observed:
+            if len(obs) != EPHID_BYTES:
+                raise ValueError(f"observed id must be {EPHID_BYTES} bytes")
+        if not n:
             return
         cols = self._days.get(day)
         if cols is None:
             cols = self._days[day] = _DayColumns()
-        cols.observed.extend(observed)
-        cols.fields += bytes((epoch, duration_min, attenuation)) * len(observed)
+        cols.observed += observed
+        cols.epochs += packed
+        cols.durations += _ONE_BYTE[duration_min] * n
+        cols.attenuations += _ONE_BYTE[attenuation] * n
 
     def prune(self, today: int) -> None:
         """Drop records at or beyond the retention horizon; idempotent."""
@@ -164,12 +195,12 @@ class ContactStore:
             if ids.isdisjoint(cols.observed):
                 continue
             total, epochs = 0, set()
-            f = cols.fields
-            # offsets into ``fields`` of the matched records only
-            for k in compress(range(0, len(f), 3), map(ids.__contains__, cols.observed)):
-                if f[k + 2] <= ATTENUATION_CUTOFF:
-                    total += f[k + 1]
-                    epochs.add(f[k])
+            epoch, duration, attenuation = cols.epochs, cols.durations, cols.attenuations
+            # the matched records only
+            for k in compress(range(len(epoch)), map(ids.__contains__, cols.observed)):
+                if attenuation[k] <= ATTENUATION_CUTOFF:
+                    total += duration[k]
+                    epochs.add(epoch[k])
             if epochs and total >= min_minutes:
                 events.append(ExposureEvent(day, total, tuple(sorted(epochs))))
         return events
@@ -218,13 +249,7 @@ class ContactStore:
             if not line.strip():
                 continue
             day, epoch, duration, attenuation, observed = line.split(",")
-            store.record_encounter(
-                EncounterRecord(
-                    observed=bytes.fromhex(observed),
-                    day=int(day),
-                    epoch=int(epoch),
-                    duration_min=int(duration),
-                    attenuation=int(attenuation),
-                )
+            store.record_observations(
+                (bytes.fromhex(observed),), int(day), (int(epoch),), int(duration), int(attenuation)
             )
         return store

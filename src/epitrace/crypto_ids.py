@@ -49,32 +49,6 @@ class DailySeed:
 
 
 @dataclass(frozen=True)
-class EphemeralID:
-    """A 16-byte rotating broadcast identifier."""
-
-    bytes: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.bytes) != EPHID_BYTES:
-            raise ValueError(f"ephemeral id must be {EPHID_BYTES} bytes, got {len(self.bytes)}")
-
-    def hex(self) -> str:
-        return self.bytes.hex()
-
-
-@dataclass(frozen=True)
-class IdSchedule:
-    """All 96 ephemeral IDs a device broadcasts on one day."""
-
-    day: int
-    ids: tuple[EphemeralID, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.ids) != EPOCHS_PER_DAY:
-            raise ValueError(f"schedule must hold {EPOCHS_PER_DAY} ids, got {len(self.ids)}")
-
-
-@dataclass(frozen=True)
 class ExposureReport:
     """Published material from which a positive user's IDs re-derive.
 
@@ -125,26 +99,22 @@ def derive_epoch_id(secret: bytes, epoch: int) -> bytes:
     return digest[:EPHID_BYTES]
 
 
-def epoch_ids(secret: bytes) -> list[bytes]:
-    """All 96 raw IDs of one daily secret, in epoch order.
+def epoch_ids(secret: bytes, start: int = 0, stop: int = EPOCHS_PER_DAY) -> list[bytes]:
+    """The raw IDs of epochs ``start``..``stop - 1`` of one daily secret, in
+    epoch order; by default all 96.
 
-    Entry j equals ``derive_epoch_id(secret, j)``.  The per-epoch suffixes
-    are built once at import, and each hash starts from a copy of the state
-    after the secret, which is cheaper than a fresh hash object.
+    Entry j equals ``derive_epoch_id(secret, start + j)``, and the range is
+    sliced like a list of the day's IDs.  The per-epoch suffixes are built
+    once at import, and each hash starts from a copy of the state after the
+    secret, which is cheaper than a fresh hash object.
     """
     base = hashlib.sha256(secret)
     out = []
-    for suffix in _EPOCH_SUFFIXES:
+    for suffix in _EPOCH_SUFFIXES[start:stop]:
         h = base.copy()
         h.update(suffix)
         out.append(h.digest()[:EPHID_BYTES])
     return out
-
-
-def expand_epoch_ids(seed: DailySeed) -> IdSchedule:
-    """Derive the full day's broadcast schedule from a daily seed."""
-    ids = tuple(EphemeralID(raw) for raw in epoch_ids(seed.secret))
-    return IdSchedule(seed.day, ids)
 
 
 def report_from_seeds(seeds: list[DailySeed]) -> ExposureReport:
@@ -165,14 +135,6 @@ def report_id_set(report: ExposureReport) -> set[bytes]:
     return out
 
 
-@dataclass(frozen=True)
-class EscrowEntry:
-    """Authority-side record of one escrowed daily seed (centralized mode)."""
-
-    registrant: str
-    day: int
-
-
 class EscrowTable:
     """Authority-side ID→registrant resolution for the centralized variant.
 
@@ -189,7 +151,7 @@ class EscrowTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def escrow_register(self, seed: DailySeed, registrant: str) -> EscrowEntry:
+    def escrow_register(self, seed: DailySeed, registrant: str) -> None:
         key = (registrant, seed.day)
         if key in self._entries:
             raise DuplicateRegistration(f"registrant {registrant!r} already escrowed day {seed.day}")
@@ -197,17 +159,14 @@ class EscrowTable:
         for raw in epoch_ids(seed.secret):
             self._by_id[raw] = registrant
             self._by_digest[contact_digest(raw)] = registrant
-        return EscrowEntry(registrant, seed.day)
 
-    def resolve(self, ephemeral_id: EphemeralID | bytes) -> str | None:
-        raw = ephemeral_id.bytes if isinstance(ephemeral_id, EphemeralID) else ephemeral_id
-        return self._by_id.get(raw)
+    def resolve(self, ephemeral_id: bytes) -> str | None:
+        return self._by_id.get(ephemeral_id)
 
     def resolve_digest(self, digest_hex: str) -> str | None:
         return self._by_digest.get(digest_hex)
 
 
-def contact_digest(ephemeral_id: EphemeralID | bytes) -> str:
+def contact_digest(ephemeral_id: bytes) -> str:
     """SHA-256 hex digest of an observed ID, the centralized upload form."""
-    raw = ephemeral_id.bytes if isinstance(ephemeral_id, EphemeralID) else ephemeral_id
-    return hashlib.sha256(raw).hexdigest()
+    return hashlib.sha256(ephemeral_id).hexdigest()

@@ -98,34 +98,20 @@ class ScenarioConfig:
     errand_mode: str = "random"  # or "staggered": capacity-spread slots
 
     def validate(self) -> None:
-        if self.n_agents < 1:
-            raise ConfigError("n_agents", "must be >= 1")
-        if self.width < 1:
-            raise ConfigError("width", "must be >= 1")
-        if self.height < 1:
-            raise ConfigError("height", "must be >= 1")
-        if not 0.0 <= self.adoption <= 1.0:
-            raise ConfigError("adoption", f"{self.adoption} outside [0, 1]")
-        if not 0.0 <= self.beta_contact <= 1.0:
-            raise ConfigError("beta_contact", f"{self.beta_contact} outside [0, 1]")
-        if self.beta_fomite < 0:
-            raise ConfigError("beta_fomite", "must be >= 0")
-        if self.deposit_rate < 0:
-            raise ConfigError("deposit_rate", "must be >= 0")
-        if self.decay_half_life_days <= 0:
-            raise ConfigError("decay_half_life_days", "must be > 0")
-        if self.e_mean_days <= 0:
-            raise ConfigError("e_mean_days", "must be > 0")
-        if self.i_mean_days <= 0:
-            raise ConfigError("i_mean_days", "must be > 0")
-        if self.test_delay_days < 0:
-            raise ConfigError("test_delay_days", "must be >= 0")
-        if self.horizon_days < 1:
-            raise ConfigError("horizon_days", "must be >= 1")
+        for name in ("n_agents", "width", "height", "horizon_days"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be >= 1")
+        for name in ("adoption", "beta_contact"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(name, f"{getattr(self, name)} outside [0, 1]")
+        for name in ("beta_fomite", "deposit_rate", "test_delay_days", "n_workplaces"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be >= 0")
+        for name in ("decay_half_life_days", "e_mean_days", "i_mean_days"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(name, "must be > 0")
         if not 0 <= self.n_index_cases <= self.n_agents:
             raise ConfigError("n_index_cases", "must be in [0, n_agents]")
-        if self.n_workplaces < 0:
-            raise ConfigError("n_workplaces", "must be >= 0")
         if self.errand_mode not in ("random", "staggered"):
             raise ConfigError("errand_mode", f"unknown mode {self.errand_mode!r}")
         if not 0 <= self.seed < 1 << 64:
@@ -247,13 +233,15 @@ class SimMetrics:
 
 
 class Agent:
-    """One simulated citizen; plain slots class for loop speed."""
+    """One simulated citizen; plain slots class for loop speed.  A carrier's
+    ``store`` is complete at every day boundary and, within a day, lags by at
+    most the open run of its cell (see ``Simulation``)."""
 
     __slots__ = (
         "id", "home", "work", "has_app", "state", "disease", "generation",
         "e_until", "i_until", "test_at", "tested", "q_until",
         "cell", "errand_epoch", "errand_cell",
-        "seed_chain", "day_ids", "store", "pds",
+        "seed_chain", "store", "pds",
     )
 
     def __init__(self, agent_id: int, home: int, work: int, has_app: bool) -> None:
@@ -273,13 +261,30 @@ class Agent:
         self.errand_epoch = -1
         self.errand_cell = -1
         self.seed_chain: list[DailySeed] = []
-        self.day_ids: list[bytes] = []  # today's broadcast IDs, one per epoch
         self.store: ContactStore | None = None
         self.pds: PersonalDataStore | None = None
 
 
+class _CellLog:
+    """The last group logged in one cell, and its open run: the epochs
+    ``first``..``last`` of today its carriers spent together (-1: none)."""
+
+    __slots__ = ("members", "carriers", "first", "last")
+
+    def __init__(self, members: list[Agent], carriers: list[Agent]) -> None:
+        self.members, self.carriers = members, carriers
+        self.first = self.last = -1
+
+
 class Simulation:
-    """One scenario run; create, call run(), then read metrics/artifacts."""
+    """One scenario run; create, call run(), then read metrics/artifacts.
+
+    Encounter logging is deferred while a cell's carriers stay together: a
+    cell's open run goes to its carriers' stores, one call each, when the
+    group changes, when the cell has no group for an epoch, at day end, or
+    before a positive in it has its report checked.  So every ``store`` is
+    complete at each day boundary and lags by at most its open run.
+    """
 
     def __init__(self, cfg: ScenarioConfig) -> None:
         cfg.validate()
@@ -311,7 +316,8 @@ class Simulation:
         self._q_epochs = 0
         # the contact graph: every agent ever co-located with each agent
         self._partners: dict[int, set[int]] = {aid: set() for aid in range(cfg.n_agents)}
-        self._last_groups: dict[int, tuple[list[Agent], list[Agent]]] = {}  # cell -> (members, carriers)
+        self._cells: dict[int, _CellLog] = {}  # every cell that has held a group
+        self._runs: dict[int, _CellLog] = {}  # the cells with an open run
 
         self.agents = self._build_agents()
         self._seed_index_cases()
@@ -406,7 +412,6 @@ class Simulation:
                     agent.seed_chain.append(derive_next_seed(agent.seed_chain[-1]))
                     if len(agent.seed_chain) > REPORT_WINDOW_DAYS:
                         del agent.seed_chain[0]
-                agent.day_ids = epoch_ids(agent.seed_chain[-1].secret)
                 if prune_day:
                     # lazy retention: stale records cannot match a fresh
                     # report anyway (their IDs derive from seeds outside
@@ -502,33 +507,53 @@ class Simulation:
         )
 
     def _log_encounters(self, occupancy: dict[int, list[Agent]], day: int, eod: int) -> None:
-        # An agent is in one cell per epoch, so each carrier's records for
-        # this epoch come from one cell, in member order, whatever the cell
-        # order.  The contact graph only grows, so it changes only when a
-        # cell's members differ from the last group logged there.
-        partners = self._partners
-        last_groups = self._last_groups
+        # Every open run holds the current epoch (one its cell left out is
+        # written at the end of that epoch) and an agent is in one cell, so
+        # runs written in any cell order keep each store in epoch order.  The
+        # contact graph only grows: it changes only when a group changes.
+        partners, cells, runs = self._partners, self._cells, self._runs
+        extended = 0
         for cell, members in occupancy.items():
             if len(members) < 2:
                 continue
-            last = last_groups.get(cell)
-            if last is not None and last[0] == members:
-                carriers = last[1]
-            else:
-                carriers = [a for a in members if a.has_app]
-                last_groups[cell] = (members, carriers)
+            log = cells.get(cell)
+            if log is None or log.members != members:
+                if cell in runs:
+                    self._write_run(cell, day)
+                log = cells[cell] = _CellLog(members, [a for a in members if a.has_app])
                 member_ids = [a.id for a in members]
                 for aid in member_ids:
                     peers = partners[aid]
                     peers.update(member_ids)
                     peers.discard(aid)
-            if len(carriers) < 2:
+            if len(log.carriers) < 2:
                 continue
-            ids = [a.day_ids[eod] for a in carriers]
-            for i, a in enumerate(carriers):
-                a.store.record_observations(
-                    ids[:i] + ids[i + 1 :], day, eod, ENCOUNTER_DURATION_MIN, ENCOUNTER_ATTENUATION
-                )
+            if log.first < 0:
+                log.first = eod
+                runs[cell] = log
+            log.last = eod
+            extended += 1
+        if extended < len(runs):
+            # a cell without a group this epoch ends its run
+            for cell in [c for c, log in runs.items() if log.last != eod]:
+                self._write_run(cell, day)
+
+    def _write_run(self, cell: int, day: int) -> None:
+        """Close a cell's open run: each carrier records the other carriers'
+        IDs of every epoch in it, in epoch then member order.  Each carrier
+        derives only the run's epochs, once for all the others."""
+        log = self._runs.pop(cell)
+        carriers, start, stop = log.carriers, log.first, log.last + 1
+        log.first = -1
+        k = len(carriers)
+        heard = [b""] * ((stop - start) * k)  # every carrier's IDs, epoch-major
+        for j, a in enumerate(carriers):
+            heard[j::k] = epoch_ids(a.seed_chain[-1].secret, start, stop)
+        epochs = bytes(sorted(bytes(range(start, stop)) * (k - 1)))  # each once per other carrier
+        for i, a in enumerate(carriers):
+            observed = heard.copy()
+            del observed[i::k]
+            a.store.record_observations(observed, day, epochs, ENCOUNTER_DURATION_MIN, ENCOUNTER_ATTENUATION)
 
     def _progress_disease(self) -> None:
         now = self.epoch
@@ -572,6 +597,9 @@ class Simulation:
         if not (agent.has_app and mode.traces_contacts):
             return
 
+        if agent.cell in self._runs:
+            # the only open run that can hold the positive's IDs
+            self._write_run(agent.cell, day)
         report = report_from_seeds(agent.seed_chain[-REPORT_WINDOW_DAYS:])
         self.board.publish_report(report, published_day=day)
         self.published_reports.append(report)
@@ -608,6 +636,8 @@ class Simulation:
             agent.pds.append_location(LocationPoint(lat, lon, t))
 
     def _close_day(self, day: int) -> None:
+        for cell in list(self._runs):
+            self._write_run(cell, day)
         counts = {"S": 0, "E": 0, "I": 0, "R": 0, "Q": 0}
         for agent in self.agents:
             counts[agent.state] += 1
@@ -763,12 +793,15 @@ def sweep(base: ScenarioConfig, axes: dict[str, Sequence], out_csv: str | Path |
     """Run the cartesian product of parameter axes over a base config.
 
     Every grid point reruns with its own (fixed) config, so a repeated
-    sweep reproduces the same table.
+    sweep reproduces the same table.  ``out_csv``'s directory is created
+    only once every grid point has passed its checks.
     """
     names = list(axes)
     grid = [dict(zip(names, combo)) for combo in product(*(axes[n] for n in names))]
     # every grid point passes the config file's checks before anything runs
     configs = [type(base).from_json({**base.to_json(), **overrides}) for overrides in grid]
+    if out_csv is not None:
+        Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
     for overrides, cfg in zip(grid, configs):
         if "intervention" in overrides:
@@ -789,18 +822,15 @@ def _write_sweep_csv(rows: list[dict], names: list[str], path: Path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            out = []
-            for col in header:
-                val = row[col]
-                if isinstance(val, Intervention):
-                    val = val.value
-                if isinstance(val, float):
-                    val = f"{val:.6f}"
-                if val is None:
-                    val = ""
-                out.append(val)
-            w.writerow(out)
+        w.writerows([_csv_value(row[col]) for col in header] for row in rows)
+
+
+def _csv_value(val):
+    if isinstance(val, Intervention):
+        return val.value
+    if isinstance(val, float):
+        return f"{val:.6f}"
+    return "" if val is None else val
 
 
 def default_shared_cells(width: int, height: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -811,8 +841,4 @@ def default_shared_cells(width: int, height: int, k: int) -> tuple[tuple[int, in
         x = min(width - 1, int(frac * width))
         y = min(height - 1, int((0.5 + 0.37 * idx) % 1.0 * height))
         cells.append((x, y))
-    deduped = []
-    for c in cells:
-        if c not in deduped:
-            deduped.append(c)
-    return tuple(deduped)
+    return tuple(dict.fromkeys(cells))  # deduplicated, first occurrence kept

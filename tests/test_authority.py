@@ -25,7 +25,7 @@ from epitrace.crypto_ids import (
     EscrowTable,
     contact_digest,
     derive_next_seed,
-    expand_epoch_ids,
+    epoch_ids,
     report_from_seeds,
 )
 from epitrace.pds import CoarsenedVisit, Purpose, SharePayload
@@ -77,14 +77,14 @@ class TestResolveAndNotify:
         seed = DailySeed(0, b"\x03" * 32)
         escrow.escrow_register(seed, "phone-9")
         # brute-force confirm against every escrowed id
-        for eph in expand_epoch_ids(seed).ids:
+        for eph in epoch_ids(seed.secret):
             assert resolve_and_notify(escrow, [contact_digest(eph)]) == {"phone-9"}
 
     def test_multiple_digests_dedup(self):
         escrow = EscrowTable()
         seed = DailySeed(0, b"\x04" * 32)
         escrow.escrow_register(seed, "phone-5")
-        ids = expand_epoch_ids(seed).ids
+        ids = epoch_ids(seed.secret)
         digests = [contact_digest(ids[0]), contact_digest(ids[1])]
         assert resolve_and_notify(escrow, digests) == {"phone-5"}
 

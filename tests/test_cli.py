@@ -173,6 +173,24 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"horizon_days": [2, 1.5]},
+            {"shared_space_cells": [[], [[x, y] for x in range(2) for y in range(2)]]},
+            {"bogus": [1]},
+        ],
+    )
+    def test_rejected_sweep_leaves_no_output_directory(self, tmp_path, capsys, axes):
+        path = tmp_path / "sweep.json"
+        base = dict(MINIMAL_CONFIG, width=2, height=2, n_workplaces=1, shared_space_cells=[])
+        path.write_text(json.dumps({"base": base, "sweep": axes}))
+        out = tmp_path / "nested" / "o"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        capsys.readouterr()
+        assert not (tmp_path / "nested").exists()
+
+
 def test_usage_error_on_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()

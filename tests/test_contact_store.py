@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from epitrace.contact_store import (
     ATTENUATION_CUTOFF,
@@ -237,8 +239,10 @@ class TestCheckpointFormat:
 
 
 def random_batches(rng, report, n_batches):
-    """(observed IDs, day, epoch, duration, attenuation) batches, a third of
-    the IDs drawn from the report, days written out of order."""
+    """(observed IDs, day, epochs, duration, attenuation) batches with one
+    epoch per ID, a third of the IDs drawn from the report, days written
+    out of order.  Half the batches hold one epoch throughout, the others
+    an arbitrary epoch per ID."""
     pool = sorted(oracle_expand(report))
     batches = []
     for _ in range(n_batches):
@@ -246,17 +250,21 @@ def random_batches(rng, report, n_batches):
             pool[rng.randrange(len(pool))] if rng.random() < 0.35 else rng.randbytes(16)
             for _ in range(rng.randrange(0, 6))
         ]
+        if rng.random() < 0.5:
+            epochs = [rng.randrange(96)] * len(observed)
+        else:
+            epochs = [rng.randrange(96) for _ in observed]
         day = rng.randrange(report.first_day - 2, report.last_day + 3)
-        batches.append((observed, day, rng.randrange(96), rng.randrange(1, 16), rng.randrange(0, 101)))
+        batches.append((observed, day, epochs, rng.randrange(1, 16), rng.randrange(0, 101)))
     return batches
 
 
 def stores_both_ways(batches):
     sequential, bulk = ContactStore(), ContactStore()
-    for observed, day, epoch, duration, attenuation in batches:
-        for obs in observed:
+    for observed, day, epochs, duration, attenuation in batches:
+        for obs, epoch in zip(observed, epochs):
             sequential.record_encounter(rec(obs, day, epoch, duration, attenuation))
-        bulk.record_observations(observed, day, epoch, duration, attenuation)
+        bulk.record_observations(observed, day, epochs, duration, attenuation)
     return sequential, bulk
 
 
@@ -291,15 +299,43 @@ class TestBulkRecording:
     def test_bulk_rejects_bad_fields(self, epoch, duration, attenuation):
         store = ContactStore()
         with pytest.raises(ValueError):
-            store.record_observations([b"\x01" * 16], 0, epoch, duration, attenuation)
+            store.record_observations([b"\x01" * 16], 0, [epoch], duration, attenuation)
         assert len(store) == 0
+
+    @pytest.mark.parametrize("bad", [96, -1, 255, 256, 1000])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_bad_epoch_anywhere_in_batch_writes_nothing(self, bad, where):
+        store = ContactStore()
+        store.record_observations([b"\x01" * 16], 0, [5], 15, 30)
+        epochs = [0, 1, 2, 3, 94, 95, 95]
+        epochs[where] = bad
+        for packed in (epochs, tuple(epochs)):
+            with pytest.raises(ValueError, match=f"epoch must be in 0..95, got {bad}"):
+                store.record_observations([b"\x02" * 16] * 7, 0, packed, 15, 30)
+        assert store.export_lines() == ["0,5,15,30," + "01" * 16]
+
+    def test_epoch_column_must_match_the_ids(self):
+        store = ContactStore()
+        for epochs in ([], [1], b"\x01\x02\x03"):
+            with pytest.raises(ValueError):
+                store.record_observations([b"\x01" * 16, b"\x02" * 16], 0, epochs, 15, 30)
+        # a bare epoch is not a column of epochs, whatever its value
+        for epoch in (0, 1, 2):
+            with pytest.raises(TypeError):
+                store.record_observations([b"\x01" * 16, b"\x02" * 16], 0, epoch, 15, 30)
+        assert len(store) == 0
+
+    def test_epochs_given_as_bytes(self):
+        store = ContactStore()
+        store.record_observations([b"\x01" * 16, b"\x02" * 16], 4, bytes([7, 95]), 12, 40)
+        assert store.export_lines() == ["4,7,12,40," + "01" * 16, "4,95,12,40," + "02" * 16]
 
     def test_bulk_rejects_bad_id_length_and_writes_nothing(self):
         store = ContactStore()
-        store.record_observations([b"\x01" * 16], 0, 5, 15, 30)
+        store.record_observations([b"\x01" * 16], 0, [5], 15, 30)
         for bad in (b"\x02" * 15, b"\x02" * 17, b""):
             with pytest.raises(ValueError):
-                store.record_observations([b"\x01" * 16, bad, b"\x03" * 16], 0, 6, 15, 30)
+                store.record_observations([b"\x01" * 16, bad, b"\x03" * 16], 0, [6] * 3, 15, 30)
         assert store.export_lines() == ["0,5,15,30," + "01" * 16]
 
     def test_records_listed_day_by_day_in_first_write_order(self):
@@ -315,8 +351,48 @@ class TestBulkRecording:
         ids = sorted(oracle_expand(report))
         store = ContactStore()
         # day 0: the only matches are too far away; day 1: no match at all
-        store.record_observations(ids[:3], 0, 4, 15, ATTENUATION_CUTOFF + 1)
-        store.record_observations([rng.randbytes(16)], 0, 5, 15, 10)
-        store.record_observations([rng.randbytes(16)], 1, 5, 15, 10)
+        store.record_observations(ids[:3], 0, [4] * 3, 15, ATTENUATION_CUTOFF + 1)
+        store.record_observations([rng.randbytes(16)], 0, [5], 15, 10)
+        store.record_observations([rng.randbytes(16)], 1, [5], 15, 10)
         assert store.check_exposure(report, min_minutes=0) == []
         assert oracle_check(store, report, min_minutes=0) == []
+
+
+record_fields = st.builds(
+    rec,
+    observed=st.binary(min_size=16, max_size=16),
+    day=st.integers(-(10**6), 10**6),
+    epoch=st.integers(0, 95),
+    duration=st.integers(1, 15),
+    attenuation=st.integers(0, 100),
+)
+
+
+# a line with five fields, each possibly out of range or of the wrong length
+framed_line = st.tuples(
+    st.integers(-3, 200), st.integers(-3, 200), st.integers(-3, 200), st.integers(-3, 200), st.binary(max_size=18)
+).map(lambda t: ",".join(map(str, t[:4])) + "," + t[4].hex())
+
+
+class TestLoadBoundary:
+    @given(st.text(max_size=300) | st.lists(framed_line, max_size=5).map("\n".join))
+    def test_file_text_loads_or_raises_value_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("load") / "store.csv"
+        path.write_bytes(text.encode())
+        try:
+            store = ContactStore.load(path)
+        except ValueError:
+            return
+        # what loads is a valid store: it saves and loads back to itself
+        store.save(path)
+        assert ContactStore.load(path).export_lines() == store.export_lines()
+
+    @given(st.lists(record_fields, max_size=40))
+    def test_valid_records_save_load_and_export_the_same(self, tmp_path_factory, records):
+        store = ContactStore(records)
+        path = tmp_path_factory.mktemp("round") / "store.csv"
+        store.save(path)
+        loaded = ContactStore.load(path)
+        assert loaded.export_lines() == store.export_lines()
+        assert path.read_text().splitlines() == store.export_lines()
+        assert loaded.records() == store.records()

@@ -11,16 +11,13 @@ from epitrace.crypto_ids import (
     EPOCHS_PER_DAY,
     DailySeed,
     DuplicateRegistration,
-    EphemeralID,
     EscrowTable,
     ExposureReport,
-    IdSchedule,
     NonContiguousDays,
     contact_digest,
     derive_epoch_id,
     derive_next_seed,
     epoch_ids,
-    expand_epoch_ids,
     report_from_seeds,
     report_id_set,
 )
@@ -72,21 +69,21 @@ class TestSeedChain:
 
 class TestEphemeralIds:
     def test_schedule_has_96_ids(self):
-        assert len(expand_epoch_ids(ZERO_SEED).ids) == EPOCHS_PER_DAY == 96
+        assert len(epoch_ids(ZERO_SEED.secret)) == EPOCHS_PER_DAY == 96
 
     def test_pinned_epoch_vectors(self):
-        sched = expand_epoch_ids(ZERO_SEED)
-        assert sched.ids[0].hex() == EPHID_ZERO_EPOCH0
-        assert sched.ids[1].hex() == EPHID_ZERO_EPOCH1
+        ids = epoch_ids(ZERO_SEED.secret)
+        assert ids[0].hex() == EPHID_ZERO_EPOCH0
+        assert ids[1].hex() == EPHID_ZERO_EPOCH1
 
     def test_expansion_deterministic(self):
-        assert expand_epoch_ids(ZERO_SEED) == expand_epoch_ids(ZERO_SEED)
+        assert epoch_ids(ZERO_SEED.secret) == epoch_ids(ZERO_SEED.secret)
 
     def test_ids_pairwise_distinct_over_random_seeds(self):
         rng = random.Random(99)
         for _ in range(1000):
-            sched = expand_epoch_ids(DailySeed(0, rng.randbytes(32)))
-            assert len({e.bytes for e in sched.ids}) == 96
+            ids = epoch_ids(rng.randbytes(32))
+            assert len(set(ids)) == 96 and all(len(raw) == 16 for raw in ids)
 
     def test_batch_ids_match_single_derivation_and_pinned_vectors(self):
         rng = random.Random(12)
@@ -98,11 +95,15 @@ class TestEphemeralIds:
             ]
         assert epoch_ids(bytes(32))[:2] == [bytes.fromhex(EPHID_ZERO_EPOCH0), bytes.fromhex(EPHID_ZERO_EPOCH1)]
 
-    def test_id_length_validation(self):
-        with pytest.raises(ValueError):
-            EphemeralID(b"\x00" * 15)
-        with pytest.raises(ValueError):
-            IdSchedule(0, tuple(EphemeralID(bytes(16)) for _ in range(95)))
+    def test_epoch_range_is_a_slice_of_the_day(self):
+        rng = random.Random(13)
+        secret = rng.randbytes(32)
+        day = epoch_ids(secret)
+        bounds = [0, 1, 47, 95, 96] + [rng.randrange(97) for _ in range(20)]
+        for start in bounds:
+            for stop in bounds:
+                assert epoch_ids(secret, start, stop) == day[start:stop]
+        assert epoch_ids(bytes(32), 1, 2) == [bytes.fromhex(EPHID_ZERO_EPOCH1)]
 
 
 class TestExposureReports:
@@ -159,7 +160,7 @@ class TestExposureReports:
         chain = _chain(DailySeed(0, rng.randbytes(32)), 4)
         report = report_from_seeds(chain)
         via_set = report_id_set(report)
-        via_schedules = {e.bytes for s in chain for e in expand_epoch_ids(s).ids}
+        via_schedules = {raw for s in chain for raw in epoch_ids(s.secret)}
         assert via_set == via_schedules
 
 
@@ -179,14 +180,14 @@ class TestEscrow:
         table = EscrowTable()
         seed = DailySeed(2, b"\x07" * 32)
         table.escrow_register(seed, "phone-1")
-        for eph in expand_epoch_ids(seed).ids:
+        for eph in epoch_ids(seed.secret):
             assert table.resolve(eph) == "phone-1"
             assert table.resolve_digest(contact_digest(eph)) == "phone-1"
 
     def test_unregistered_id_resolves_to_nothing(self):
         table = EscrowTable()
         table.escrow_register(DailySeed(0, b"\x01" * 32), "phone-1")
-        stray = expand_epoch_ids(DailySeed(0, b"\x02" * 32)).ids[0]
+        stray = epoch_ids(b"\x02" * 32)[0]
         assert table.resolve(stray) is None
 
     def test_disjoint_registrants_never_cross(self):
@@ -199,7 +200,7 @@ class TestEscrow:
         # brute force over every escrowed id
         for token, chain in seeds.items():
             for s in chain:
-                for eph in expand_epoch_ids(s).ids:
+                for eph in epoch_ids(s.secret):
                     assert table.resolve(eph) == token
 
     def test_duplicate_registration_rejected(self):
@@ -213,5 +214,5 @@ class TestEscrow:
 
 
 def test_digest_is_plain_sha256():
-    eph = EphemeralID(b"\x42" * 16)
+    eph = b"\x42" * 16
     assert contact_digest(eph) == hashlib.sha256(b"\x42" * 16).hexdigest()

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from epitrace.contact_store import ContactStore, EncounterRecord
-from epitrace.crypto_ids import DailySeed, expand_epoch_ids
+from epitrace.crypto_ids import epoch_ids
 from epitrace.pds import (
     CellLabelMap,
     ConsentMissing,
@@ -240,8 +240,8 @@ class TestSharePayloads:
 
     def test_contact_upload_body_is_digests(self):
         store = ContactStore()
-        sched = expand_epoch_ids(DailySeed(0, b"\x11" * 32))
-        store.record_encounter(EncounterRecord(sched.ids[4].bytes, 0, 4, 15, 30))
+        ids = epoch_ids(b"\x11" * 32)
+        store.record_encounter(EncounterRecord(ids[4], 0, 4, 15, 30))
         pds = make_pds(contact_store=store)
         pds.grant_consent(Purpose.CONTACT_UPLOAD)
         payload, _ = pds.build_share_payload(Purpose.CONTACT_UPLOAD, None, (0, 0))
@@ -290,8 +290,7 @@ class TestNonLinkability:
         rng = random.Random(3)
         broadcast = set()
         for _ in range(50):
-            sched = expand_epoch_ids(DailySeed(0, rng.randbytes(32)))
-            broadcast.update(e.bytes for e in sched.ids)
+            broadcast.update(epoch_ids(rng.randbytes(32)))
         pds = make_pds()
         pds.grant_consent(Purpose.LOCATION_UPLOAD)
         for k in range(200):

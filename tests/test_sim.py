@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import pytest
 
+from epitrace.crypto_ids import derive_epoch_id, epoch_ids
 from epitrace.sim import (
     EPOCHS_PER_DAY,
+    WORK_START,
     ConfigError,
     Intervention,
     ScenarioConfig,
@@ -265,6 +268,138 @@ class TestTracingCausality:
         m = sim.run()
         if any(n.disease_at == "E" for n in sim.notifications):
             assert m.traced_fraction > 0
+
+
+class PerEpochLogging(Simulation):
+    """The simulator with per-epoch encounter logging, as it was before
+    runs were deferred: every carrier writes each epoch as it happens."""
+
+    def __init__(self, cfg):
+        self._last_groups = {}  # cell -> (members, carriers)
+        super().__init__(cfg)
+
+    def _log_encounters(self, occupancy, day, eod):
+        partners = self._partners
+        last_groups = self._last_groups
+        for cell, members in occupancy.items():
+            if len(members) < 2:
+                continue
+            last = last_groups.get(cell)
+            if last is not None and last[0] == members:
+                carriers = last[1]
+            else:
+                carriers = [a for a in members if a.has_app]
+                last_groups[cell] = (members, carriers)
+                member_ids = [a.id for a in members]
+                for aid in member_ids:
+                    peers = partners[aid]
+                    peers.update(member_ids)
+                    peers.discard(aid)
+            if len(carriers) < 2:
+                continue
+            ids = [derive_epoch_id(a.seed_chain[-1].secret, eod) for a in carriers]
+            for i, a in enumerate(carriers):
+                others = ids[:i] + ids[i + 1 :]
+                a.store.record_observations(others, day, [eod] * len(others), 15, 30)
+
+
+# positives are tested 1.3 days after turning infectious, so at all times
+# of day; the location world's errands leave cells without a group
+DEFERRED_WORLDS = {
+    "contact": replace(BASE, intervention=Intervention.CONTACT_TRACING, test_delay_days=1.3, horizon_days=9),
+    "contact+location": replace(
+        BASE,
+        intervention=Intervention.CONTACT_AND_LOCATION,
+        beta_contact=0.01,
+        beta_fomite=0.05,
+        n_workplaces=0,
+        test_delay_days=1.3,
+        horizon_days=9,
+    ),
+}
+
+
+def carriers_of(sim):
+    return [a for a in sim.agents if a.has_app]
+
+
+def open_run_lag(sim, agent):
+    """Records an agent's store still owes for the open run it is in."""
+    log = sim._runs.get(agent.cell)
+    if log is None or agent not in log.carriers:
+        return 0
+    return (log.last - log.first + 1) * (len(log.carriers) - 1)
+
+
+class TestDeferredEncounterLog:
+    @pytest.mark.parametrize("world", sorted(DEFERRED_WORLDS))
+    def test_stores_and_notifications_match_per_epoch_logging(self, world):
+        cfg = DEFERRED_WORLDS[world]
+        sim, ref = Simulation(cfg), PerEpochLogging(cfg)
+        mid_day_tests = 0
+        for epoch in range(cfg.horizon_days * EPOCHS_PER_DAY):
+            sim.step_epoch()
+            ref.step_epoch()
+            assert sim.notifications == ref.notifications
+            mid_day_tests += sum(
+                t.epoch == epoch and epoch % EPOCHS_PER_DAY not in (0, EPOCHS_PER_DAY - 1) for t in sim.tests
+            )
+            # within a day a store lags by exactly its open run
+            for a, b in zip(carriers_of(sim), carriers_of(ref)):
+                assert len(b.store) - len(a.store) == open_run_lag(sim, a)
+            if epoch % EPOCHS_PER_DAY == EPOCHS_PER_DAY - 1:
+                assert not sim._runs
+                for a, b in zip(carriers_of(sim), carriers_of(ref)):
+                    assert a.store.export_lines() == b.store.export_lines()
+        assert mid_day_tests and sim.notifications, "no positive was checked mid-run"
+        assert sim.tests == ref.tests and sim.infections == ref.infections
+        assert sim.metrics() == ref.metrics()
+
+    def test_positive_checked_mid_run_reaches_a_contact_made_today(self):
+        # two carriers from different homes first meet at work on day 0;
+        # one tests positive while their run there is still open
+        cfg = ScenarioConfig(
+            n_agents=2,
+            width=4,
+            height=4,
+            adoption=1.0,
+            beta_contact=0.0,
+            intervention=Intervention.CONTACT_TRACING,
+            n_index_cases=0,
+            n_workplaces=1,
+            horizon_days=1,
+            seed=0,
+        )
+        for sim in (Simulation(cfg), PerEpochLogging(cfg)):
+            positive, contact = sim.agents
+            assert positive.home != contact.home
+            while sim.epoch < WORK_START + 4:
+                sim.step_epoch()
+            sim.on_positive_test(positive, 0)
+            assert [(n.source, n.target) for n in sim.notifications] == [(0, 1)]
+            assert len(contact.store) == 4
+
+    @pytest.mark.parametrize("world", sorted(DEFERRED_WORLDS))
+    def test_each_id_heard_is_derived_once(self, world, monkeypatch):
+        derived = []
+
+        def counting_epoch_ids(secret, start=0, stop=EPOCHS_PER_DAY):
+            ids = epoch_ids(secret, start, stop)
+            derived.append(len(ids))
+            return ids
+
+        monkeypatch.setattr("epitrace.sim.epoch_ids", counting_epoch_ids)
+        cfg = DEFERRED_WORLDS[world]
+        sim = Simulation(cfg)
+        carriers = carriers_of(sim)
+        accompanied = 0  # carrier-epochs spent with at least one other carrier
+        for epoch in range(cfg.horizon_days * EPOCHS_PER_DAY):
+            sim.step_epoch()
+            per_cell = Counter(a.cell for a in carriers)
+            accompanied += sum(n for n in per_cell.values() if n > 1)
+            if epoch % EPOCHS_PER_DAY == EPOCHS_PER_DAY - 1:
+                assert sum(derived) == accompanied
+        assert 0 < accompanied < len(carriers) * cfg.horizon_days * EPOCHS_PER_DAY
 
 
 class TestMovementModel:
