@@ -119,8 +119,21 @@ class ContactStore:
             for observed, epoch, duration, attenuation in cols.rows()
         ]
 
+    def _columns(self, day: int) -> _DayColumns:
+        cols = self._days.get(day)
+        if cols is None:
+            cols = self._days[day] = _DayColumns()
+        return cols
+
     def record_encounter(self, rec: EncounterRecord) -> None:
-        self.record_observations((rec.observed,), rec.day, (rec.epoch,), rec.duration_min, rec.attenuation)
+        """Append one record.  It checked its fields when it was built, so
+        they are written as they are, without a second check; a record
+        whose fields were reassigned after that is not checked again."""
+        cols = self._columns(rec.day)
+        cols.observed.append(rec.observed)
+        cols.epochs.append(rec.epoch)
+        cols.durations.append(rec.duration_min)
+        cols.attenuations.append(rec.attenuation)
 
     def record_observations(
         self, observed: Sequence[bytes], day: int, epochs: Sequence[int], duration_min: int, attenuation: int
@@ -151,9 +164,7 @@ class ContactStore:
                 raise ValueError(f"observed id must be {EPHID_BYTES} bytes")
         if not n:
             return
-        cols = self._days.get(day)
-        if cols is None:
-            cols = self._days[day] = _DayColumns()
+        cols = self._columns(day)
         cols.observed += observed
         cols.epochs += packed
         cols.durations += _ONE_BYTE[duration_min] * n

@@ -1,11 +1,11 @@
 """Additively masked count aggregation: the aggregator learns only the sum.
 
 Every unordered participant pair (i, j) shares a 32-byte seed distributed
-out of band.  Both expand it to the same mask vector; i adds it, j
-subtracts it, so the pairwise terms cancel in the sum and each individual
-share is uniformly masked mod 2^32.  Exactness holds because per-entry
-contributions are bounded below 2^16 and participant counts below 2^16,
-so the true sum never wraps.
+out of band.  Both expand it through SHAKE-256 to the same mask vector;
+i adds it, j subtracts it, so the pairwise terms cancel in the sum and
+each individual share is uniformly masked mod 2^32.  Exactness holds
+because per-entry contributions are bounded below 2^16 and participant
+counts below 2^16, so the true sum never wraps.
 
 Honest-but-curious model only: no dropout recovery, no malicious-party
 defenses.  A missing or malformed share aborts the round.
@@ -18,8 +18,8 @@ import struct
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import add, sub
+from functools import cached_property
+from operator import sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
 MASK_MODULUS = 1 << 32
@@ -175,32 +175,18 @@ class MaskedShare:
         return cls(participant, values)
 
 
-@lru_cache(maxsize=4)
-def _mask_layout(dimension: int) -> tuple[tuple[bytes, ...], struct.Struct]:
-    """The u32 BE suffixes k < dimension, and a Struct reading the first 4
-    bytes (u32 BE) of each of ``dimension`` concatenated 32-byte digests."""
-    suffixes = tuple(k.to_bytes(4, "big") for k in range(dimension))
-    return suffixes, struct.Struct(">" + "I28x" * dimension)
-
-
 def pairwise_mask(seed: PairwiseSeed | bytes, dimension: int) -> list[int]:
     """Expand a pairwise seed into a deterministic mask vector mod 2^32.
 
-    Entry k is the first 4 bytes (big-endian) of
-    SHA-256(secret || "MASK" || k as u32 BE), hashed from a copy of the
-    state after secret || "MASK", which is cheaper than a fresh object.
+    The mask is the first 4 * dimension bytes of SHAKE-256(secret ||
+    "MASK"), read as big-endian u32 words: one XOF call stretches the
+    agreed seed, the PRG expansion of Bonawitz et al. (CCS 2017).
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     secret = seed.secret if isinstance(seed, PairwiseSeed) else seed
-    suffixes, words = _mask_layout(dimension)
-    base = hashlib.sha256(secret + _MASK_DOMAIN)
-    digests = []
-    for suffix in suffixes:
-        h = base.copy()
-        h.update(suffix)
-        digests.append(h.digest())
-    return list(words.unpack(b"".join(digests)))
+    stream = hashlib.shake_256(secret + _MASK_DOMAIN).digest(4 * dimension)
+    return list(struct.unpack(f">{dimension}I", stream))
 
 
 def mask_contribution(
@@ -213,8 +199,9 @@ def mask_contribution(
 
     Masks for pairs where ``me`` is the lower index are added; where it is
     the higher index they are subtracted, so they cancel across the cohort.
-    The sum is reduced mod 2^32 once at the end, which gives the same
-    words as reducing after every mask.
+    Each word is summed over all its added masks, less the sum over the
+    subtracted ones, and reduced mod 2^32 once at the end, which gives the
+    same words as reducing after every mask.
     """
     by_peer: dict[int, PairwiseSeed] = {}
     for s in seeds:
@@ -226,11 +213,13 @@ def mask_contribution(
     if missing:
         raise MissingSeed(f"participant {me} lacks seeds for peers {missing}")
 
-    values = v.counts
-    d = len(values)
+    d = len(v.counts)
+    added, subtracted = [v.counts], []
     for peer, seed in sorted(by_peer.items()):
-        mask = pairwise_mask(seed, d)
-        values = list(map(add if me < peer else sub, values, mask))
+        (added if me < peer else subtracted).append(pairwise_mask(seed, d))
+    values = map(sum, zip(*added))
+    if subtracted:
+        values = map(sub, values, map(sum, zip(*subtracted)))
     return MaskedShare(me, tuple(x % MASK_MODULUS for x in values))
 
 

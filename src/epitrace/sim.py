@@ -98,6 +98,9 @@ class ScenarioConfig:
     errand_mode: str = "random"  # or "staggered": capacity-spread slots
 
     def validate(self) -> None:
+        for name, kind in get_type_hints(type(self)).items():
+            if kind is float and not _finite(getattr(self, name)):
+                raise ConfigError(name, "must be a finite number")
         for name in ("n_agents", "width", "height", "horizon_days"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
@@ -169,13 +172,21 @@ class ScenarioConfig:
         return cls.from_json(obj)
 
 
+def _finite(value: float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _json_fits(value, kind: type) -> bool:
     """A JSON value for a field of type int, float or str: booleans are not
-    numbers, an int fits a float field, and numbers must be finite."""
+    numbers, and an int fits a float field (``validate`` checks that
+    floats are finite)."""
     if isinstance(value, bool):
         return False
     if kind is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        return isinstance(value, (int, float))
     return isinstance(value, kind)
 
 

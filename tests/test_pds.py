@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from epitrace.contact_store import ContactStore, EncounterRecord
 from epitrace.crypto_ids import epoch_ids
@@ -307,6 +309,16 @@ class TestNonLinkability:
         assert pseudonyms.isdisjoint(broadcast)
 
 
+SCHEMA = "epitrace-pds v1"
+
+# a lat,lon,t line whose fields may be out of range, non-finite or not ints
+snapshot_line = st.tuples(
+    st.floats() | st.integers(-200, 200),
+    st.floats() | st.integers(-200, 200),
+    st.integers(-(10**9), 10**9) | st.floats(),
+).map(lambda t: ",".join(map(str, t)))
+
+
 class TestSnapshots:
     def test_snapshot_round_trip(self, tmp_path):
         pds = make_pds()
@@ -319,6 +331,22 @@ class TestSnapshots:
         loaded = PersonalDataStore.load_snapshot(path)
         assert len(loaded) == 30
         assert loaded.coarsened(Granularity.grid(0.01, 60)) == pds.coarsened(Granularity.grid(0.01, 60))
+
+    @given(st.text(max_size=300) | st.lists(snapshot_line, max_size=6).map(lambda ls: "\n".join([SCHEMA, *ls])))
+    def test_file_text_loads_or_raises_value_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("snap") / "pds.snapshot"
+        path.write_bytes(text.encode())
+        try:
+            pds = PersonalDataStore.load_snapshot(path)
+        except ValueError:
+            return
+        data_lines = [line for line in path.read_text().splitlines()[1:] if line.strip()]
+        assert len(pds) == len(data_lines)
+        # what loads is a valid store: it saves and loads back to itself
+        pds.save_snapshot(path)
+        saved = path.read_text()
+        PersonalDataStore.load_snapshot(path).save_snapshot(path)
+        assert path.read_text() == saved
 
     def test_consent_ledger_json_lines(self, tmp_path):
         pds = make_pds()

@@ -24,9 +24,9 @@ from epitrace.secure_agg import (
     seeds_for,
 )
 
-# frozen via an independent SHA-256 computation before the implementation
-MASK_ZERO_K0 = 2547040482
-MASK_ZERO_K1 = 1311755471
+# frozen via an independent SHAKE-256 computation, not through pairwise_mask
+MASK_ZERO_K0 = 4197345515
+MASK_ZERO_K1 = 2414710490
 
 
 def flat_space(d):
@@ -50,12 +50,12 @@ class TestMaskDerivation:
         assert mask[0] == MASK_ZERO_K0
         assert mask[1] == MASK_ZERO_K1
 
-    def test_matches_direct_sha256(self):
+    def test_matches_direct_shake256(self):
         secret = b"\x55" * 32
         mask = pairwise_mask(secret, 5)
+        stream = hashlib.shake_256(secret + b"MASK").digest(20)
         for k in range(5):
-            digest = hashlib.sha256(secret + b"MASK" + k.to_bytes(4, "big")).digest()
-            assert mask[k] == int.from_bytes(digest[:4], "big")
+            assert mask[k] == int.from_bytes(stream[4 * k : 4 * k + 4], "big")
 
     def test_deterministic(self):
         seed = PairwiseSeed(0, 1, b"\x10" * 32)
@@ -246,7 +246,7 @@ class TestContributionVector:
 
 # sha256 of the concatenated shares and of the aggregate (u32 BE words) of
 # pinned_round(), taken with the per-entry loops below
-PINNED_SHARES_SHA256 = "e3c0b31942c5a291e5fa12cf27a0c538c131beb491d1553d75f114bb5815575d"
+PINNED_SHARES_SHA256 = "7046457d9037173e06bd44cbad6d283f20a6638716b158ad9ab38a7da98d4436"
 PINNED_AGGREGATE_SHA256 = "c6a521bc343bb78c154e352f83a6c1be2701647276a23d5f45666e4cc0507a54"
 
 
@@ -256,10 +256,10 @@ def pinned_round():
 
 
 def ref_pairwise_mask(secret, dimension):
+    stream = hashlib.shake_256(secret + b"MASK").digest(4 * dimension)
     out = []
     for k in range(dimension):
-        digest = hashlib.sha256(secret + b"MASK" + k.to_bytes(4, "big")).digest()
-        out.append(int.from_bytes(digest[:4], "big"))
+        out.append(int.from_bytes(stream[4 * k : 4 * k + 4], "big"))
     return out
 
 

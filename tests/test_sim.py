@@ -6,6 +6,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from epitrace.crypto_ids import derive_epoch_id, epoch_ids
 from epitrace.sim import (
@@ -33,6 +35,25 @@ BASE = ScenarioConfig(
     horizon_days=14,
     n_index_cases=3,
     n_workplaces=40,
+)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# values near the valid ranges, so that some objects are valid configs
+near_valid = (
+    st.integers(-2, 30)
+    | st.floats(-1.0, 40.0)
+    | st.sampled_from(["random", "staggered", "none", "contact", "contact+location"])
+    | st.lists(st.lists(st.integers(-1, 30), min_size=2, max_size=2), max_size=3)
+)
+config_objects = st.dictionaries(
+    st.sampled_from(sorted(ScenarioConfig.__dataclass_fields__)) | st.text(max_size=8),
+    near_valid | json_values,
+    max_size=8,
 )
 
 
@@ -92,6 +113,39 @@ class TestConfigValidation:
     def test_round_trip(self):
         cfg = ScenarioConfig.from_json(BASE.to_json())
         assert cfg == BASE
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "adoption",
+            "beta_contact",
+            "beta_fomite",
+            "deposit_rate",
+            "decay_half_life_days",
+            "e_mean_days",
+            "i_mean_days",
+            "test_delay_days",
+        ],
+    )
+    def test_non_finite_float_rejected_in_code_built_config(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            replace(BASE, **{field: value}).validate()
+        assert err.value.field == field
+
+    def test_int_too_large_for_a_float_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_json({"deposit_rate": 10**400})
+        assert err.value.field == "deposit_rate"
+
+    @given(config_objects)
+    def test_from_json_accepts_a_valid_config_or_raises_config_error(self, obj):
+        try:
+            cfg = ScenarioConfig.from_json(obj)
+        except ConfigError:
+            return
+        cfg.validate()
+        assert ScenarioConfig.from_json(cfg.to_json()) == cfg
 
     def test_field_type_comes_from_annotation_not_default(self):
         @dataclass(frozen=True)
