@@ -194,9 +194,9 @@ class RiskMap:
         return self.levels[idx] if idx is not None else 0
 
 
-def detect_hotspots(dmap: DensityMap, *, k_anon: int = K_ANON, ratio_min: float = RATIO_MIN) -> list[Hotspot]:
+def detect_hotspots(dmap: DensityMap, *, k_anon: int = K_ANON) -> list[Hotspot]:
     """Cells×bins with at least k_anon positive visits and, when a baseline
-    exists, an infected share of at least ratio_min.
+    exists, an infected share of at least RATIO_MIN.
 
     Sorted by infected count descending, then (cell, bin) ascending, so
     repeated calls give an identical total order.
@@ -209,7 +209,7 @@ def detect_hotspots(dmap: DensityMap, *, k_anon: int = K_ANON, ratio_min: float 
         baseline = totals[idx] if totals is not None else 0
         if baseline == 0:
             found.append(Hotspot(cell, bin_start, count, math.inf))
-        elif count / baseline >= ratio_min:
+        elif count / baseline >= RATIO_MIN:
             found.append(Hotspot(cell, bin_start, count, count / baseline))
     found.sort(key=lambda h: (-h.infected_count, _sort_key(h.cell), h.bin_start))
     return found

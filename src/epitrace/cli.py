@@ -25,7 +25,7 @@ from .secure_agg import (
     mask_contribution,
     seeds_for,
 )
-from .sim import ConfigError, Intervention, ScenarioConfig, run_scenario, sweep
+from .sim import ConfigError, Intervention, ScenarioConfig, read_config_json, run_scenario, sweep
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -113,10 +113,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        obj = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError("<file>", f"invalid JSON: {e}") from None
+    obj = read_config_json(args.config)
     if not isinstance(obj, dict) or "base" not in obj or "sweep" not in obj:
         raise ConfigError("<file>", 'sweep config must be {"base": {...}, "sweep": {...}}')
     base = _apply_overrides(ScenarioConfig.from_json(obj["base"]), args)

@@ -28,11 +28,6 @@ class InsufficientHistory(ValueError):
     """Not enough distinct days of history to call anything a routine."""
 
 
-class Unreachable(RuntimeError):
-    """No path between the requested cells (defensive; a full rectangular
-    lattice is always connected)."""
-
-
 @dataclass(frozen=True)
 class ExposureScore:
     total: float
@@ -101,12 +96,10 @@ def safer_route(
     dest: tuple[int, int],
     risk: RiskMap,
     bin_start: int,
-    *,
-    risk_weight: float = RISK_WEIGHT,
 ) -> list[tuple[int, int]]:
     """Minimum-cost path on the 4-neighbor lattice, trading distance for risk.
 
-    Stepping into a cell costs 1 + risk_weight * level(cell, bin).  Among
+    Stepping into a cell costs 1 + RISK_WEIGHT * level(cell, bin).  Among
     minimum-cost paths the one with fewest hops wins, and among those the
     lexicographically smallest cell sequence.  Cells absent from the risk
     map's space count as level 0.
@@ -114,57 +107,36 @@ def safer_route(
     for name, (x, y) in (("origin", origin), ("dest", dest)):
         if not (0 <= x < width and 0 <= y < height):
             raise ValueError(f"{name} {x, y} outside the {width}x{height} grid")
-    if origin == dest:
-        return [origin]
 
-    def step_cost(cell: tuple[int, int]) -> float:
-        return 1.0 + risk_weight * risk.level_at(cell, bin_start)
-
-    def neighbors(cell: tuple[int, int]):
-        x, y = cell
-        for nx, ny in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
-            if 0 <= nx < width and 0 <= ny < height:
-                yield (nx, ny)
-
-    # Backward pass: optimal (cost, hops) from every cell to dest, so the
-    # forward walk can pick the lexicographically smallest optimal step.
-    INF = (float("inf"), float("inf"))
-    best: dict[tuple[int, int], tuple[float, int]] = {dest: (0.0, 0)}
-    heap: list[tuple[float, int, tuple[int, int]]] = [(0.0, 0, dest)]
-    while heap:
-        cost, hops, cell = heapq.heappop(heap)
-        if (cost, hops) > best.get(cell, INF):
+    # A label (cost, hops, path) orders exactly as the tie-break above.
+    # Appending one cell to two equal-length paths keeps their order and
+    # every step costs at least 1, so the first label popped at dest wins.
+    start = (0, 0, (origin,))
+    best = {origin: start}  # the one live label per cell; others are stale
+    heap = [start]
+    while True:
+        label = heapq.heappop(heap)
+        cost, hops, path = label
+        x, y = cell = path[-1]
+        if cell == dest:
+            return list(path)
+        if best[cell] is not label:
             continue
-        entry = step_cost(cell)  # edge u->cell is paid on entering `cell`
-        for u in neighbors(cell):
-            cand = (cost + entry, hops + 1)
-            if cand < best.get(u, INF):
-                best[u] = cand
-                heapq.heappush(heap, (cand[0], cand[1], u))
-
-    if origin not in best:
-        raise Unreachable(f"no path from {origin} to {dest}")
-
-    path = [origin]
-    cur = origin
-    while cur != dest:
-        cost, hops = best[cur]
-        chosen = None
-        for n in sorted(neighbors(cur)):
-            n_cost, n_hops = best.get(n, INF)
-            if (n_cost + step_cost(n), n_hops + 1) == (cost, hops):
-                chosen = n
-                break
-        if chosen is None:  # cannot happen on a connected lattice
-            raise Unreachable(f"optimal successor missing at {cur}")
-        path.append(chosen)
-        cur = chosen
-    return path
+        for n in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
+            if not (0 <= n[0] < width and 0 <= n[1] < height):
+                continue
+            seen = best.get(n)
+            if seen is not None and seen[0] <= cost:
+                continue  # a step costs at least 1: n cannot improve, so skip pricing it
+            cand = (cost + 1 + RISK_WEIGHT * risk.level_at(n, bin_start), hops + 1, path + (n,))
+            if seen is None or cand < seen:
+                best[n] = cand
+                heapq.heappush(heap, cand)
 
 
-def route_cost(path: Sequence[tuple[int, int]], risk: RiskMap, bin_start: int, *, risk_weight: float = RISK_WEIGHT) -> float:
+def route_cost(path: Sequence[tuple[int, int]], risk: RiskMap, bin_start: int) -> float:
     """Total cost of a path under the safer_route edge model."""
-    return sum(1.0 + risk_weight * risk.level_at(cell, bin_start) for cell in path[1:])
+    return sum(1.0 + RISK_WEIGHT * risk.level_at(cell, bin_start) for cell in path[1:])
 
 
 def route_to_csv(path: Sequence[tuple[int, int]]) -> str:

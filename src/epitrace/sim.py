@@ -165,11 +165,17 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ScenarioConfig":
-        try:
-            obj = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError("<file>", f"invalid JSON: {e}") from None
-        return cls.from_json(obj)
+        return cls.from_json(read_config_json(path))
+
+
+def read_config_json(path: str | Path):
+    """Parsed JSON of a config file.  Any ValueError while reading it (bad
+    syntax, an integer past Python's digit limit, undecodable bytes) is a
+    ConfigError, so the CLI reports it as a usage error."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as e:
+        raise ConfigError("<file>", f"invalid JSON: {e}") from None
 
 
 def _finite(value: float) -> bool:

@@ -21,6 +21,10 @@ MINIMAL_CONFIG = {
 }
 
 
+# an integer literal past Python's 4,300-digit int-string limit
+HUGE_INT = "1" * 5000
+
+
 def write_config(tmp_path, overrides=None, name="scenario.json"):
     obj = dict(MINIMAL_CONFIG)
     if overrides:
@@ -65,6 +69,17 @@ class TestSimulate:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"n_agents": %s}' % HUGE_INT.encode(), b'{"n_agents": "\xff"}'],
+        ids=["oversized-int", "undecodable-bytes"],
+    )
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert "<file>" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -172,6 +187,11 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
+    def test_oversized_integer_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text('{"base": {"n_agents": %s}, "sweep": {"adoption": [0.5]}}' % HUGE_INT)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "<file>" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "axes",

@@ -235,6 +235,31 @@ class TestSaferRoute:
             candidates.append(seq)
         assert path == min(candidates)
 
+    def test_zero_risk_20x20_is_closed_form_lexicographic_path(self):
+        # the smallest cell sequence among shortest paths: every x-decrement
+        # first, then every y move, then every x-increment
+        def closed_form(origin, dest):
+            (x, y), (dx, dy) = origin, dest
+            path = [(x, y)]
+            while x > dx:
+                x -= 1
+                path.append((x, y))
+            while y != dy:
+                y += 1 if dy > y else -1
+                path.append((x, y))
+            while x < dx:
+                x += 1
+                path.append((x, y))
+            return path
+
+        risk = grid_risk(20, 20, {})
+        rng = random.Random(5)
+        corners = [(0, 0), (0, 19), (19, 0), (19, 19)]
+        pairs = [(o, d) for o in corners for d in corners]
+        pairs += [((rng.randrange(20), rng.randrange(20)), (rng.randrange(20), rng.randrange(20))) for _ in range(300)]
+        for origin, dest in pairs:
+            assert safer_route(20, 20, origin, dest, risk, 0) == closed_form(origin, dest), (origin, dest)
+
 
 class TestScoreMonotonicity:
     def test_raising_a_level_never_lowers_scores(self):
