@@ -14,6 +14,15 @@ order), so a (config, seed) pair reproduces bit-identical runs.  Pseudonym
 randomness is forked into per-agent generators at setup and never touches
 the world stream.
 
+The epoch kernel is change-driven.  Everyone is placed from scratch at
+00:00, 09:00 and 17:00; in any other epoch only agents whose errand starts
+or ends, and agents who entered or left quarantine, move.  Encounter
+logging looks only at the cells they touched, contact transmission only at
+cells holding an infectious agent, disease progression only at agents in E,
+I or Q, and tests only at agents with one pending.  Each visits its agents
+by ascending id and its cells row-major, so every draw comes in the order a
+full scan would make it.
+
 Simplifications, by design: quarantine compliance is perfect (a Q agent
 neither transmits nor acquires), testing is deterministic after the
 configured delay and fires only while the agent is still infectious, and
@@ -283,18 +292,27 @@ class Agent:
 
 
 class _CellLog:
-    """The last group logged in one cell, and its open run: the epochs
-    ``first``..``last`` of today its carriers spent together (-1: none)."""
+    """The last group logged in one cell, and its open run: the epochs of
+    today its carriers have spent together, from ``first`` (-1: none) up to
+    the current epoch.  ``members`` is the occupancy list it was built
+    from; those lists are replaced, never changed, so ``!=`` spots a new
+    group."""
 
-    __slots__ = ("members", "carriers", "first", "last")
+    __slots__ = ("members", "carriers", "first")
 
     def __init__(self, members: list[Agent], carriers: list[Agent]) -> None:
         self.members, self.carriers = members, carriers
-        self.first = self.last = -1
+        self.first = -1
 
 
 class Simulation:
     """One scenario run; create, call run(), then read metrics/artifacts.
+
+    The occupancy (cell -> members in ascending id) lives from one epoch to
+    the next.  Between the three full placements a day only movers move:
+    agents whose errand is this epoch or the last, and agents who entered or
+    left Q (a positive always counts).  Their old and new cells are the only
+    ones the encounter log looks at.
 
     Encounter logging is deferred while a cell's carriers stay together: a
     cell's open run goes to its carriers' stores, one call each, when the
@@ -331,6 +349,14 @@ class Simulation:
         self.day_rows: list[DayRow] = []
         self._new_infections_today = 0
         self._q_epochs = 0
+        self._n_q = 0  # agents in Q now
+        self._active: set[int] = set()  # agents in E, I or Q
+        self._tests_due: set[int] = set()  # agents with a pending test_at
+        self._movers: set[int] = set()  # agents to place at the next move
+        self._errands: list[list[int]] = [[] for _ in range(EPOCHS_PER_DAY)]  # today's, by epoch
+        self._occupancy: dict[int, list[Agent]] = {}
+        self._changed: set[int] = set()  # cells whose group may differ from the last epoch
+        self._run_stop = 0  # one past the last epoch whose encounters were logged
         # the contact graph: every agent ever co-located with each agent
         self._partners: dict[int, set[int]] = {aid: set() for aid in range(cfg.n_agents)}
         self._cells: dict[int, _CellLog] = {}  # every cell that has held a group
@@ -382,6 +408,8 @@ class Simulation:
             agent.generation = 0
             agent.i_until = self.rng.expovariate(1.0 / self.cfg.i_mean_days) * EPOCHS_PER_DAY
             agent.test_at = self.cfg.test_delay_days * EPOCHS_PER_DAY
+            self._active.add(aid)
+            self._tests_due.add(aid)
             self.infections.append(InfectionEvent(0, aid, None, "seed", self.cell_xy(agent.home), 0))
 
     # -- the epoch kernel ------------------------------------------------------
@@ -448,45 +476,62 @@ class Simulation:
                 cell, ep = slots[pos % len(slots)]
                 self.agents[aid].errand_cell = cell
                 self.agents[aid].errand_epoch = ep
+        self._errands = [[] for _ in range(EPOCHS_PER_DAY)]
+        for agent in self.agents:
+            self._errands[agent.errand_epoch].append(agent.id)
 
     def _move_agents(self, eod: int) -> dict[int, list[Agent]]:
-        occupancy: dict[int, list[Agent]] = {}
-        working = WORK_START <= eod < WORK_END
-        sample_errands = self.cfg.intervention.uploads_location
-        t = self.epoch * SECONDS_PER_EPOCH
-        q_now = 0
-        for agent in self.agents:
-            if agent.state == "Q":
-                cell = agent.home
-                q_now += 1
-            elif eod == agent.errand_epoch:
-                cell = agent.errand_cell
-                if sample_errands and agent.pds is not None:
-                    # hourly fixes would miss most 15-minute errands
-                    lat, lon = self._centres[cell]
-                    agent.pds.append_location(LocationPoint(lat, lon, t))
-            elif working:
-                cell = agent.work
-            else:
-                cell = agent.home
+        self._q_epochs += self._n_q
+        occupancy, movers = self._occupancy, self._movers
+        if eod in (0, WORK_START, WORK_END):
+            self._occupancy = occupancy = {}
+            for agent in self.agents:
+                cell = agent.cell = self._place(agent, eod)
+                group = occupancy.get(cell)
+                if group is None:
+                    occupancy[cell] = [agent]
+                else:
+                    group.append(agent)
+            # any cell may have changed; at 00:00 every group reopens its run
+            self._changed = set(occupancy).union(self._runs)
+            movers.clear()
+            return occupancy
+        movers.update(self._errands[eod], self._errands[eod - 1])
+        changed = self._changed = set()
+        for aid in sorted(movers):
+            agent = self.agents[aid]
+            old, cell = agent.cell, self._place(agent, eod)
+            changed.add(old)  # a positive's flushed run reopens here
+            if cell == old:
+                continue
             agent.cell = cell
-            group = occupancy.get(cell)
-            if group is None:
-                occupancy[cell] = [agent]
-            else:
-                group.append(agent)
-        self._q_epochs += q_now
+            changed.add(cell)
+            rest = [a for a in occupancy.pop(old) if a is not agent]
+            if rest:
+                occupancy[old] = rest
+            occupancy[cell] = sorted([*occupancy.get(cell, ()), agent], key=lambda a: a.id)
+        movers.clear()
         return occupancy
 
+    def _place(self, agent: Agent, eod: int) -> int:
+        """The cell today's routine puts an agent in at ``eod``."""
+        if agent.state == "Q":
+            return agent.home
+        if eod == agent.errand_epoch:
+            if self.cfg.intervention.uploads_location and agent.pds is not None:
+                # hourly fixes would miss most 15-minute errands
+                lat, lon = self._centres[agent.errand_cell]
+                agent.pds.append_location(LocationPoint(lat, lon, self.epoch * SECONDS_PER_EPOCH))
+            return agent.errand_cell
+        return agent.work if WORK_START <= eod < WORK_END else agent.home
+
     def _contact_transmission(self, occupancy: dict[int, list[Agent]]) -> None:
-        beta, rng = self.cfg.beta_contact, self.rng
-        for cell in sorted(occupancy):
+        beta, rng, agents = self.cfg.beta_contact, self.rng, self.agents
+        for cell in sorted({agents[aid].cell for aid in self._active if agents[aid].state == "I"}):
             members = occupancy[cell]
             if len(members) < 2:
                 continue
             infectious = [a for a in members if a.state == "I"]
-            if not infectious:
-                continue
             for target in members:
                 if target.state != "S":
                     continue
@@ -518,49 +563,47 @@ class Simulation:
         target.e_until = self.epoch + self.rng.expovariate(1.0 / self.cfg.e_mean_days) * EPOCHS_PER_DAY
         generation = 0 if source is None else source.generation + 1
         target.generation = generation
+        self._active.add(target.id)
         self._new_infections_today += 1
         self.infections.append(
             InfectionEvent(self.epoch, target.id, source.id if source else None, channel, self.cell_xy(cell), generation)
         )
 
     def _log_encounters(self, occupancy: dict[int, list[Agent]], day: int, eod: int) -> None:
-        # Every open run holds the current epoch (one its cell left out is
-        # written at the end of that epoch) and an agent is in one cell, so
-        # runs written in any cell order keep each store in epoch order.  The
-        # contact graph only grows: it changes only when a group changes.
+        # Only a changed cell can start or end a run; the others' open runs
+        # go on to this epoch.  A run ends before the epoch its group changes
+        # in, and an agent is in one cell, so runs written in any cell order
+        # keep each store in epoch order.  The contact graph only grows: it
+        # changes only when a group changes.
         partners, cells, runs = self._partners, self._cells, self._runs
-        extended = 0
-        for cell, members in occupancy.items():
+        for cell in self._changed:
+            members = occupancy.get(cell, ())
             if len(members) < 2:
+                if cell in runs:
+                    self._write_run(cell, day, eod)
                 continue
             log = cells.get(cell)
             if log is None or log.members != members:
                 if cell in runs:
-                    self._write_run(cell, day)
+                    self._write_run(cell, day, eod)
                 log = cells[cell] = _CellLog(members, [a for a in members if a.has_app])
                 member_ids = [a.id for a in members]
                 for aid in member_ids:
                     peers = partners[aid]
                     peers.update(member_ids)
                     peers.discard(aid)
-            if len(log.carriers) < 2:
-                continue
-            if log.first < 0:
+            if log.first < 0 and len(log.carriers) > 1:
                 log.first = eod
                 runs[cell] = log
-            log.last = eod
-            extended += 1
-        if extended < len(runs):
-            # a cell without a group this epoch ends its run
-            for cell in [c for c, log in runs.items() if log.last != eod]:
-                self._write_run(cell, day)
+        self._run_stop = eod + 1
 
-    def _write_run(self, cell: int, day: int) -> None:
-        """Close a cell's open run: each carrier records the other carriers'
-        IDs of every epoch in it, in epoch then member order.  Each carrier
-        derives only the run's epochs, once for all the others."""
+    def _write_run(self, cell: int, day: int, stop: int) -> None:
+        """Close a cell's open run before epoch ``stop``: each carrier
+        records the other carriers' IDs of every epoch in it, in epoch then
+        member order.  Each carrier derives only the run's epochs, once for
+        all the others."""
         log = self._runs.pop(cell)
-        carriers, start, stop = log.carriers, log.first, log.last + 1
+        carriers, start = log.carriers, log.first
         log.first = -1
         k = len(carriers)
         heard = [b""] * ((stop - start) * k)  # every carrier's IDs, epoch-major
@@ -573,14 +616,16 @@ class Simulation:
             a.store.record_observations(observed, day, epochs, ENCOUNTER_DURATION_MIN, ENCOUNTER_ATTENUATION)
 
     def _progress_disease(self) -> None:
-        now = self.epoch
-        for agent in self.agents:
+        now, active = self.epoch, self._active
+        for aid in sorted(active):
+            agent = self.agents[aid]
             disease = agent.disease
             if disease == "E":
                 if now >= agent.e_until:
                     agent.disease = "I"
                     agent.i_until = now + self.rng.expovariate(1.0 / self.cfg.i_mean_days) * EPOCHS_PER_DAY
                     agent.test_at = now + self.cfg.test_delay_days * EPOCHS_PER_DAY
+                    self._tests_due.add(aid)
                     if agent.state == "E":
                         agent.state = "I"
             elif disease == "I":
@@ -592,22 +637,38 @@ class Simulation:
                 # a positive stays in isolation until recovered
                 if not agent.tested or agent.disease == "R":
                     agent.state = agent.disease
+                    self._n_q -= 1
+                    self._movers.add(aid)
+            if agent.state in ("S", "R"):
+                active.discard(aid)
 
     def _run_tests(self, day: int) -> None:
         now = self.epoch
-        for agent in self.agents:
-            if agent.tested or agent.test_at is None or now < agent.test_at:
+        for aid in sorted(self._tests_due):
+            agent = self.agents[aid]
+            if now < agent.test_at:
                 continue
             if agent.disease != "I":
                 agent.test_at = None  # recovered before the result mattered
+                self._tests_due.discard(aid)
                 continue
             self.on_positive_test(agent, day)
+
+    def _quarantine(self, agent: Agent) -> None:
+        """Put an agent in Q for the next QUARANTINE_DAYS at least."""
+        if agent.state != "Q":
+            agent.state = "Q"
+            self._n_q += 1
+            self._active.add(agent.id)
+            self._movers.add(agent.id)
+        agent.q_until = max(agent.q_until, self.epoch + QUARANTINE_DAYS * EPOCHS_PER_DAY)
 
     def on_positive_test(self, agent: Agent, day: int) -> None:
         """Isolate a confirmed positive and fire the mode's app channels."""
         agent.tested = True
-        agent.state = "Q"
-        agent.q_until = self.epoch + QUARANTINE_DAYS * EPOCHS_PER_DAY
+        self._tests_due.discard(agent.id)
+        self._quarantine(agent)
+        self._movers.add(agent.id)  # its cell's run may be flushed below
         self.tests.append(TestEvent(self.epoch, agent.id))
 
         mode = self.cfg.intervention
@@ -616,7 +677,7 @@ class Simulation:
 
         if agent.cell in self._runs:
             # the only open run that can hold the positive's IDs
-            self._write_run(agent.cell, day)
+            self._write_run(agent.cell, day, self._run_stop)
         report = report_from_seeds(agent.seed_chain[-REPORT_WINDOW_DAYS:])
         self.board.publish_report(report, published_day=day)
         self.published_reports.append(report)
@@ -629,9 +690,7 @@ class Simulation:
             if not events:
                 continue
             self.notifications.append(NotifyEvent(self.epoch, agent.id, peer.id, peer.disease))
-            if peer.state != "Q":
-                peer.state = "Q"
-            peer.q_until = max(peer.q_until, self.epoch + QUARANTINE_DAYS * EPOCHS_PER_DAY)
+            self._quarantine(peer)
 
         if mode.uploads_location and agent.pds.has_consent(Purpose.LOCATION_UPLOAD):
             window = (max(0, day - (REPORT_WINDOW_DAYS - 1)), day)
@@ -654,7 +713,7 @@ class Simulation:
 
     def _close_day(self, day: int) -> None:
         for cell in list(self._runs):
-            self._write_run(cell, day)
+            self._write_run(cell, day, EPOCHS_PER_DAY)
         counts = {"S": 0, "E": 0, "I": 0, "R": 0, "Q": 0}
         for agent in self.agents:
             counts[agent.state] += 1

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from epitrace.crypto_ids import derive_epoch_id, epoch_ids
 from epitrace.sim import (
     EPOCHS_PER_DAY,
+    QUARANTINE_DAYS,
+    WORK_END,
     WORK_START,
     ConfigError,
     Intervention,
@@ -358,9 +360,18 @@ class PerEpochLogging(Simulation):
 
 
 # positives are tested 1.3 days after turning infectious, so at all times
-# of day; the location world's errands leave cells without a group
+# of day; the location world's errands leave cells without a group; the
+# staggered world runs past QUARANTINE_DAYS, so agents also leave Q
 DEFERRED_WORLDS = {
     "contact": replace(BASE, intervention=Intervention.CONTACT_TRACING, test_delay_days=1.3, horizon_days=9),
+    "staggered": replace(
+        BASE,
+        intervention=Intervention.CONTACT_TRACING,
+        errand_mode="staggered",
+        beta_contact=0.03,
+        test_delay_days=1.3,
+        horizon_days=18,
+    ),
     "contact+location": replace(
         BASE,
         intervention=Intervention.CONTACT_AND_LOCATION,
@@ -382,7 +393,8 @@ def open_run_lag(sim, agent):
     log = sim._runs.get(agent.cell)
     if log is None or agent not in log.carriers:
         return 0
-    return (log.last - log.first + 1) * (len(log.carriers) - 1)
+    last = (sim.epoch - 1) % EPOCHS_PER_DAY  # an open run lasts to the last epoch stepped
+    return (last - log.first + 1) * (len(log.carriers) - 1)
 
 
 class TestDeferredEncounterLog:
@@ -456,6 +468,40 @@ class TestDeferredEncounterLog:
         assert 0 < accompanied < len(carriers) * cfg.horizon_days * EPOCHS_PER_DAY
 
 
+def routine_cell(agent, eod, in_q):
+    """Where the daily routine puts an agent at ``eod``."""
+    if in_q:
+        return agent.home
+    if eod == agent.errand_epoch:
+        return agent.errand_cell
+    return agent.work if WORK_START <= eod < WORK_END else agent.home
+
+
+class TestChangeDrivenPlacement:
+    @pytest.mark.parametrize("world", sorted(DEFERRED_WORLDS))
+    def test_every_agent_sits_where_the_routine_puts_it(self, world):
+        cfg = DEFERRED_WORLDS[world]
+        sim = Simulation(cfg)
+        entered = left = 0  # Q changes placed outside the three full placements
+        while sim.epoch < cfg.horizon_days * EPOCHS_PER_DAY:
+            eod = sim.epoch % EPOCHS_PER_DAY
+            in_q = [a.state == "Q" for a in sim.agents]
+            sim.step_epoch()
+            for a, q in zip(sim.agents, in_q):
+                assert a.cell == routine_cell(a, eod, q), (world, sim.epoch - 1, a.id)
+            grouped = {}
+            for a in sim.agents:
+                grouped.setdefault(a.cell, []).append(a)
+            assert sim._occupancy == grouped
+            if eod not in (0, WORK_START, WORK_END):
+                now_q = [a.state == "Q" for a in sim.agents]
+                entered += sum(q < now for q, now in zip(in_q, now_q))
+                left += sum(q > now for q, now in zip(in_q, now_q))
+        assert entered
+        if cfg.horizon_days > QUARANTINE_DAYS:
+            assert left
+
+
 class TestMovementModel:
     def test_staggered_errands_spread_across_slots(self):
         cfg = ScenarioConfig(
@@ -506,6 +552,8 @@ class TestMovementModel:
             violations += sum(1 for a in q_before if a.state == "Q" and a.cell != a.home)
         assert violations == 0
         assert quarantined_epochs > 0
+        # the kernel keeps a running count of Q agents rather than scanning
+        assert sim.metrics().quarantine_person_days == quarantined_epochs / EPOCHS_PER_DAY
 
 
 class TestArtifacts:
