@@ -18,10 +18,10 @@ The epoch kernel is change-driven.  Everyone is placed from scratch at
 00:00, 09:00 and 17:00; in any other epoch only agents whose errand starts
 or ends, and agents who entered or left quarantine, move.  Encounter
 logging looks only at the cells they touched, contact transmission only at
-cells holding an infectious agent, disease progression only at agents in E,
-I or Q, and tests only at agents with one pending.  Each visits its agents
-by ascending id and its cells row-major, so every draw comes in the order a
-full scan would make it.
+cells holding an infectious agent, and the disease, test and release timers
+only at agents with one due, read from an agenda kept by epoch.  Each visits
+its agents by ascending id and its cells row-major, so every draw comes in
+the order a full scan would make it.
 
 Simplifications, by design: quarantine compliance is perfect (a Q agent
 neither transmits nor acquires), testing is deterministic after the
@@ -264,8 +264,7 @@ class Agent:
     most the open run of its cell (see ``Simulation``)."""
 
     __slots__ = (
-        "id", "home", "work", "has_app", "state", "disease", "generation",
-        "e_until", "i_until", "test_at", "tested", "q_until",
+        "id", "home", "work", "has_app", "state", "disease", "generation", "tested", "q_until",
         "cell", "errand_epoch", "errand_cell",
         "seed_chain", "store", "pds",
     )
@@ -278,9 +277,6 @@ class Agent:
         self.state = "S"
         self.disease = "S"
         self.generation: int | None = None
-        self.e_until = 0.0
-        self.i_until = 0.0
-        self.test_at: float | None = None
         self.tested = False
         self.q_until = 0
         self.cell = home
@@ -319,6 +315,10 @@ class Simulation:
     group changes, when the cell has no group for an epoch, at day end, or
     before a positive in it has its report checked.  So every ``store`` is
     complete at each day boundary and lags by at most its open run.
+
+    Timers are bookings on one agenda, ``_due``: epoch -> (agent id, event)
+    for "I" (E->I), "R" (I->R), "out" (Q may end) and "test".  Each epoch
+    runs every booking's step and release check by (id, event), then tests.
     """
 
     def __init__(self, cfg: ScenarioConfig) -> None:
@@ -350,8 +350,8 @@ class Simulation:
         self._new_infections_today = 0
         self._q_epochs = 0
         self._n_q = 0  # agents in Q now
-        self._active: set[int] = set()  # agents in E, I or Q
-        self._tests_due: set[int] = set()  # agents with a pending test_at
+        self._infectious: set[int] = set()  # agents whose disease is I
+        self._due: dict[int, list[tuple[int, str]]] = {}  # epoch -> (agent id, event) bookings
         self._movers: set[int] = set()  # agents to place at the next move
         self._errands: list[list[int]] = [[] for _ in range(EPOCHS_PER_DAY)]  # today's, by epoch
         self._occupancy: dict[int, list[Agent]] = {}
@@ -406,10 +406,9 @@ class Simulation:
             agent = self.agents[aid]
             agent.state = agent.disease = "I"
             agent.generation = 0
-            agent.i_until = self.rng.expovariate(1.0 / self.cfg.i_mean_days) * EPOCHS_PER_DAY
-            agent.test_at = self.cfg.test_delay_days * EPOCHS_PER_DAY
-            self._active.add(aid)
-            self._tests_due.add(aid)
+            self._infectious.add(aid)
+            self._book(self.rng.expovariate(1.0 / self.cfg.i_mean_days) * EPOCHS_PER_DAY, aid, "R")
+            self._book(self.cfg.test_delay_days * EPOCHS_PER_DAY, aid, "test")
             self.infections.append(InfectionEvent(0, aid, None, "seed", self.cell_xy(agent.home), 0))
 
     # -- the epoch kernel ------------------------------------------------------
@@ -437,8 +436,7 @@ class Simulation:
             for cell in self._shared:
                 self.contamination[cell] *= self._decay_factor
         self._log_encounters(occupancy, day, eod)
-        self._progress_disease()
-        self._run_tests(day)
+        self._fire_timers(day)
 
         if self.cfg.intervention.uploads_location and eod % PDS_SAMPLE_EVERY == 0:
             self._sample_locations()
@@ -527,7 +525,7 @@ class Simulation:
 
     def _contact_transmission(self, occupancy: dict[int, list[Agent]]) -> None:
         beta, rng, agents = self.cfg.beta_contact, self.rng, self.agents
-        for cell in sorted({agents[aid].cell for aid in self._active if agents[aid].state == "I"}):
+        for cell in sorted({agents[aid].cell for aid in self._infectious if agents[aid].state == "I"}):
             members = occupancy[cell]
             if len(members) < 2:
                 continue
@@ -560,10 +558,9 @@ class Simulation:
 
     def _infect(self, target: Agent, source: Agent | None, channel: str, cell: int) -> None:
         target.state = target.disease = "E"
-        target.e_until = self.epoch + self.rng.expovariate(1.0 / self.cfg.e_mean_days) * EPOCHS_PER_DAY
+        self._book(self.epoch + self.rng.expovariate(1.0 / self.cfg.e_mean_days) * EPOCHS_PER_DAY, target.id, "I")
         generation = 0 if source is None else source.generation + 1
         target.generation = generation
-        self._active.add(target.id)
         self._new_infections_today += 1
         self.infections.append(
             InfectionEvent(self.epoch, target.id, source.id if source else None, channel, self.cell_xy(cell), generation)
@@ -615,58 +612,50 @@ class Simulation:
             del observed[i::k]
             a.store.record_observations(observed, day, epochs, ENCOUNTER_DURATION_MIN, ENCOUNTER_ATTENUATION)
 
-    def _progress_disease(self) -> None:
-        now, active = self.epoch, self._active
-        for aid in sorted(active):
-            agent = self.agents[aid]
-            disease = agent.disease
-            if disease == "E":
-                if now >= agent.e_until:
-                    agent.disease = "I"
-                    agent.i_until = now + self.rng.expovariate(1.0 / self.cfg.i_mean_days) * EPOCHS_PER_DAY
-                    agent.test_at = now + self.cfg.test_delay_days * EPOCHS_PER_DAY
-                    self._tests_due.add(aid)
-                    if agent.state == "E":
-                        agent.state = "I"
-            elif disease == "I":
-                if now >= agent.i_until:
-                    agent.disease = "R"
-                    if agent.state == "I":
-                        agent.state = "R"
-            if agent.state == "Q" and now >= agent.q_until:
-                # a positive stays in isolation until recovered
-                if not agent.tested or agent.disease == "R":
-                    agent.state = agent.disease
-                    self._n_q -= 1
-                    self._movers.add(aid)
-            if agent.state in ("S", "R"):
-                active.discard(aid)
+    def _book(self, at: float, aid: int, event: str) -> None:
+        """File an agent's event under the first epoch at or after ``at``."""
+        self._due.setdefault(max(math.ceil(at), self.epoch), []).append((aid, event))
 
-    def _run_tests(self, day: int) -> None:
-        now = self.epoch
-        for aid in sorted(self._tests_due):
+    def _fire_timers(self, day: int) -> None:
+        now, cfg = self.epoch, self.cfg
+        due = sorted(self._due.pop(now, ()))
+        for aid, event in due:
             agent = self.agents[aid]
-            if now < agent.test_at:
-                continue
-            if agent.disease != "I":
-                agent.test_at = None  # recovered before the result mattered
-                self._tests_due.discard(aid)
-                continue
-            self.on_positive_test(agent, day)
+            if event == "I":
+                agent.disease = "I"
+                self._infectious.add(aid)
+                i_until = now + self.rng.expovariate(1.0 / cfg.i_mean_days) * EPOCHS_PER_DAY
+                self._book(max(i_until, now + 1), aid, "R")  # not in the epoch of onset
+                self._book(now + cfg.test_delay_days * EPOCHS_PER_DAY, aid, "test")
+            elif event == "R":
+                agent.disease = "R"
+                self._infectious.discard(aid)
+            if agent.state != "Q":  # outside Q the state is the disease
+                agent.state = agent.disease
+            elif now >= agent.q_until and (not agent.tested or agent.disease == "R"):
+                # a positive stays in isolation until recovered
+                agent.state = agent.disease
+                self._n_q -= 1
+                self._movers.add(aid)
+        # with test_delay_days = 0 the steps above book tests for this epoch
+        for aid, event in sorted(due + self._due.pop(now, [])):
+            agent = self.agents[aid]
+            # a recovered agent is not tested, nor one already tested directly
+            if event == "test" and agent.disease == "I" and not agent.tested:
+                self.on_positive_test(agent, day)
 
     def _quarantine(self, agent: Agent) -> None:
-        """Put an agent in Q for the next QUARANTINE_DAYS at least."""
+        """Put an agent in Q for the next QUARANTINE_DAYS."""
         if agent.state != "Q":
             agent.state = "Q"
             self._n_q += 1
-            self._active.add(agent.id)
             self._movers.add(agent.id)
-        agent.q_until = max(agent.q_until, self.epoch + QUARANTINE_DAYS * EPOCHS_PER_DAY)
+        agent.q_until = self.epoch + QUARANTINE_DAYS * EPOCHS_PER_DAY  # an earlier "out" goes stale
+        self._book(agent.q_until, agent.id, "out")
 
     def on_positive_test(self, agent: Agent, day: int) -> None:
         """Isolate a confirmed positive and fire the mode's app channels."""
         agent.tested = True
-        self._tests_due.discard(agent.id)
         self._quarantine(agent)
         self._movers.add(agent.id)  # its cell's run may be flushed below
         self.tests.append(TestEvent(self.epoch, agent.id))

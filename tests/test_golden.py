@@ -1,4 +1,4 @@
-"""Behaviour anchor: pinned sha256 of the artifacts of three small runs.
+"""Behaviour anchor: pinned sha256 of the artifacts of five small runs.
 
 Any change to the simulator or to the protocol paths it drives that alters
 a trajectory, a notification or a metric changes these digests.  A change
@@ -37,6 +37,21 @@ CONFIGS = {
         n_workplaces=0,
         horizon_days=18,
     ),
+    # tested in the epoch they turn infectious: each test falls due in the
+    # epoch that books it
+    "contact-delay0": replace(
+        BASE, intervention=Intervention.CONTACT_TRACING, beta_contact=0.06, n_index_cases=10, test_delay_days=0.0
+    ),
+    # timers between epochs, past QUARANTINE_DAYS: S and R agents leave Q,
+    # and a positive still infectious at its release date stays until R
+    "contact-delay1.3": replace(
+        BASE,
+        intervention=Intervention.CONTACT_TRACING,
+        beta_contact=0.06,
+        n_index_cases=10,
+        test_delay_days=1.3,
+        horizon_days=20,
+    ),
 }
 
 GOLDEN = {
@@ -51,6 +66,14 @@ GOLDEN = {
     "contact+location": {
         "events.log": "709fa9e30f0340f3b4d6d22f9035ca89b848a285102641693f70673cbc1cf04c",
         "summary.json": "7277db91c2a2257ed1471198ca00b4ac450d6247b6aa4361e7409f700e74b74a",
+    },
+    "contact-delay0": {
+        "events.log": "5efe0bf537f3825649d71b7f4165bad61d53e11896c74a4357676bc5473da5fd",
+        "summary.json": "ca74f7df06d7644de3dc7ec01943bc17f7b6045d05ca413a4e57eb4f353c17f2",
+    },
+    "contact-delay1.3": {
+        "events.log": "f6328b07e29fa14b25b484b658d178e519b15d51fafb7449a3df6c05a675abfc",
+        "summary.json": "e55390c1d78ec4b1fb3cfa481355cc2ef71865ccb610fc73c4a5050efdf19ce2",
     },
 }
 

@@ -361,9 +361,18 @@ class PerEpochLogging(Simulation):
 
 # positives are tested 1.3 days after turning infectious, so at all times
 # of day; the location world's errands leave cells without a group; the
-# staggered world runs past QUARANTINE_DAYS, so agents also leave Q
+# staggered world runs past QUARANTINE_DAYS, so agents also leave Q; the
+# delay0 world tests each positive in the epoch it turns infectious
 DEFERRED_WORLDS = {
     "contact": replace(BASE, intervention=Intervention.CONTACT_TRACING, test_delay_days=1.3, horizon_days=9),
+    "delay0": replace(
+        BASE,
+        intervention=Intervention.CONTACT_TRACING,
+        beta_contact=0.3,
+        n_index_cases=12,
+        test_delay_days=0.0,
+        horizon_days=9,
+    ),
     "staggered": replace(
         BASE,
         intervention=Intervention.CONTACT_TRACING,
@@ -477,18 +486,34 @@ def routine_cell(agent, eod, in_q):
     return agent.work if WORK_START <= eod < WORK_END else agent.home
 
 
+def releasable(agent, now):
+    """The release rule: Q ends at ``q_until``, for a positive once recovered."""
+    return now >= agent.q_until and (not agent.tested or agent.disease == "R")
+
+
 class TestChangeDrivenPlacement:
     @pytest.mark.parametrize("world", sorted(DEFERRED_WORLDS))
     def test_every_agent_sits_where_the_routine_puts_it(self, world):
         cfg = DEFERRED_WORLDS[world]
         sim = Simulation(cfg)
         entered = left = 0  # Q changes placed outside the three full placements
+        held = extended = 0  # Q epochs past q_until; q_until moved while in Q
         while sim.epoch < cfg.horizon_days * EPOCHS_PER_DAY:
-            eod = sim.epoch % EPOCHS_PER_DAY
+            now, eod = sim.epoch, sim.epoch % EPOCHS_PER_DAY
             in_q = [a.state == "Q" for a in sim.agents]
+            q_until = [a.q_until for a in sim.agents]
             sim.step_epoch()
-            for a, q in zip(sim.agents, in_q):
-                assert a.cell == routine_cell(a, eod, q), (world, sim.epoch - 1, a.id)
+            # a booking filed for an epoch already stepped would never fire
+            assert min(sim._due, default=sim.epoch) >= sim.epoch
+            for a, q, until in zip(sim.agents, in_q, q_until):
+                assert a.cell == routine_cell(a, eod, q), (world, now, a.id)
+                # Q ends in the first epoch the release rule allows it
+                if a.state == "Q":
+                    assert not releasable(a, now), (world, now, a.id)
+                    held += now >= a.q_until
+                    extended += q and a.q_until > until
+                elif q:
+                    assert releasable(a, now), (world, now, a.id)
             grouped = {}
             for a in sim.agents:
                 grouped.setdefault(a.cell, []).append(a)
@@ -497,9 +522,40 @@ class TestChangeDrivenPlacement:
                 now_q = [a.state == "Q" for a in sim.agents]
                 entered += sum(q < now for q, now in zip(in_q, now_q))
                 left += sum(q > now for q, now in zip(in_q, now_q))
-        assert entered
+        assert entered and extended
         if cfg.horizon_days > QUARANTINE_DAYS:
-            assert left
+            assert left and held
+
+
+class TestTimers:
+    def test_direct_test_cancels_the_pending_one(self):
+        cfg = ScenarioConfig(
+            n_agents=3,
+            width=4,
+            height=4,
+            beta_contact=0.0,
+            i_mean_days=50.0,
+            n_index_cases=1,
+            n_workplaces=0,
+            horizon_days=3,
+            seed=0,
+        )
+        sim = Simulation(cfg)
+        (index,) = [a for a in sim.agents if a.disease == "I"]
+        sim.on_positive_test(index, 0)
+        sim.run()  # past the 2-day delay of the test booked at seeding
+        assert index.disease == "I"
+        assert [(t.epoch, t.agent) for t in sim.tests] == [(0, index.id)]
+
+    def test_recovery_comes_no_earlier_than_the_epoch_after_onset(self):
+        sim = Simulation(ScenarioConfig(n_agents=1, width=2, height=2, n_index_cases=0, n_workplaces=0, seed=0))
+        sim.rng.expovariate = lambda rate: 0.0  # every E and I period lasts no time
+        (agent,) = sim.agents
+        sim._infect(agent, None, "fomite", agent.cell)
+        sim.step_epoch()
+        assert agent.disease == "I"
+        sim.step_epoch()
+        assert agent.disease == "R"
 
 
 class TestMovementModel:
