@@ -20,18 +20,6 @@ EXPOSURE_MIN_MINUTES = 15  # cumulative per day
 ATTENUATION_CUTOFF = 60  # lower = closer; records above this are ignored
 
 
-def _check_epoch(epoch: int) -> None:
-    if not 0 <= epoch <= EPOCHS_PER_DAY - 1:
-        raise ValueError(f"epoch must be in 0..{EPOCHS_PER_DAY - 1}, got {epoch}")
-
-
-def _check_fields(duration_min: int, attenuation: int) -> None:
-    if not 1 <= duration_min <= 15:
-        raise ValueError(f"duration_min must be in 1..15, got {duration_min}")
-    if not 0 <= attenuation <= 100:
-        raise ValueError(f"attenuation must be in 0..100, got {attenuation}")
-
-
 _VALID_EPOCHS = bytes(range(EPOCHS_PER_DAY))
 _ONE_BYTE = tuple(bytes((b,)) for b in range(256))  # built once, not on every write
 
@@ -47,10 +35,15 @@ class EncounterRecord:
     attenuation: int
 
     def __post_init__(self) -> None:
+        # inline checks: every stored record passes them twice
         if len(self.observed) != EPHID_BYTES:
             raise ValueError(f"observed id must be {EPHID_BYTES} bytes")
-        _check_epoch(self.epoch)
-        _check_fields(self.duration_min, self.attenuation)
+        if not 0 <= self.epoch < EPOCHS_PER_DAY:
+            raise ValueError(f"epoch must be in 0..{EPOCHS_PER_DAY - 1}, got {self.epoch}")
+        if not 1 <= self.duration_min <= 15:
+            raise ValueError(f"duration_min must be in 1..15, got {self.duration_min}")
+        if not 0 <= self.attenuation <= 100:
+            raise ValueError(f"attenuation must be in 0..100, got {self.attenuation}")
 
 
 def _stored_record(observed: bytes, day: int, epoch: int, duration_min: int, attenuation: int) -> EncounterRecord:
@@ -126,10 +119,20 @@ class ContactStore:
         return cols
 
     def record_encounter(self, rec: EncounterRecord) -> None:
-        """Append one record.  It checked its fields when it was built, so
-        they are written as they are, without a second check; a record
-        whose fields were reassigned after that is not checked again."""
-        cols = self._columns(rec.day)
+        """Append one record.  A record's fields can be reassigned after it
+        was built, so they are checked again, against the ranges
+        ``EncounterRecord`` checks, and a failed check writes nothing."""
+        # hot: slot reads and an inline _columns measured cheaper than locals and a call
+        if not (
+            len(rec.observed) == EPHID_BYTES
+            and 0 <= rec.epoch < EPOCHS_PER_DAY
+            and 1 <= rec.duration_min <= 15
+            and 0 <= rec.attenuation <= 100
+        ):
+            EncounterRecord(rec.observed, rec.day, rec.epoch, rec.duration_min, rec.attenuation)  # raises the error
+        cols = self._days.get(rec.day)
+        if cols is None:
+            cols = self._days[rec.day] = _DayColumns()
         cols.observed.append(rec.observed)
         cols.epochs.append(rec.epoch)
         cols.durations.append(rec.duration_min)
@@ -145,7 +148,10 @@ class ContactStore:
         one for a length mismatch, and ``TypeError`` for an int in place of
         ``epochs``; on a failed check nothing is written.
         """
-        _check_fields(duration_min, attenuation)
+        if not 1 <= duration_min <= 15:
+            raise ValueError(f"duration_min must be in 1..15, got {duration_min}")
+        if not 0 <= attenuation <= 100:
+            raise ValueError(f"attenuation must be in 0..100, got {attenuation}")
         n = len(observed)
         try:
             packed = bytes(epochs)
@@ -157,7 +163,8 @@ class ContactStore:
             if isinstance(epochs, int):  # bytes(n) would read it as n zero epochs
                 raise TypeError("epochs must be a sequence with one epoch per observed id")
             for epoch in epochs:
-                _check_epoch(epoch)
+                if not 0 <= epoch < EPOCHS_PER_DAY:
+                    raise ValueError(f"epoch must be in 0..{EPOCHS_PER_DAY - 1}, got {epoch}")
             raise ValueError(f"{n} observed ids but {len(epochs)} epochs")
         for obs in observed:
             if len(obs) != EPHID_BYTES:

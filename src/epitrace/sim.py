@@ -14,10 +14,11 @@ order), so a (config, seed) pair reproduces bit-identical runs.  Pseudonym
 randomness is forked into per-agent generators at setup and never touches
 the world stream.
 
-The epoch kernel is change-driven.  Everyone is placed from scratch at
-00:00, 09:00 and 17:00; in any other epoch only agents whose errand starts
-or ends, and agents who entered or left quarantine, move.  Encounter
-logging looks only at the cells they touched, contact transmission only at
+The epoch kernel is change-driven.  At 00:00, 09:00 and 17:00 everyone
+moves; in any other epoch only agents whose errand starts or ends, and
+agents who entered or left quarantine, move.  Both go through the same
+mover loop, which regroups only the cells they touched.  Encounter
+logging looks only at those cells, contact transmission only at
 cells holding an infectious agent, and the disease, test and release timers
 only at agents with one due, read from an agenda kept by epoch.  Each visits
 its agents by ascending id and its cells row-major, so every draw comes in
@@ -40,6 +41,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import product
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
@@ -305,10 +307,12 @@ class Simulation:
     """One scenario run; create, call run(), then read metrics/artifacts.
 
     The occupancy (cell -> members in ascending id) lives from one epoch to
-    the next.  Between the three full placements a day only movers move:
-    agents whose errand is this epoch or the last, and agents who entered or
-    left Q (a positive always counts).  Their old and new cells are the only
-    ones the encounter log looks at.
+    the next.  One mover loop places the movers: everyone at 00:00, 09:00
+    and 17:00, and in between agents whose errand is this epoch or the last,
+    and agents who entered or left Q (a positive always counts).  Their old
+    and new cells are the only ones regrouped and the only ones the
+    encounter log looks at; at 00:00 that is every occupied cell, so every
+    run reopens.
 
     Encounter logging is deferred while a cell's carriers stay together: a
     cell's open run goes to its carriers' stores, one call each, when the
@@ -354,7 +358,6 @@ class Simulation:
         self._due: dict[int, list[tuple[int, str]]] = {}  # epoch -> (agent id, event) bookings
         self._movers: set[int] = set()  # agents to place at the next move
         self._errands: list[list[int]] = [[] for _ in range(EPOCHS_PER_DAY)]  # today's, by epoch
-        self._occupancy: dict[int, list[Agent]] = {}
         self._changed: set[int] = set()  # cells whose group may differ from the last epoch
         self._run_stop = 0  # one past the last epoch whose encounters were logged
         # the contact graph: every agent ever co-located with each agent
@@ -363,6 +366,9 @@ class Simulation:
         self._runs: dict[int, _CellLog] = {}  # the cells with an open run
 
         self.agents = self._build_agents()
+        self._occupancy: dict[int, list[Agent]] = {}  # everyone starts at home
+        for agent in self.agents:
+            self._occupancy.setdefault(agent.home, []).append(agent)
         self._seed_index_cases()
 
     # -- setup ---------------------------------------------------------------
@@ -431,10 +437,7 @@ class Simulation:
 
         if self.cfg.beta_contact > 0:
             self._contact_transmission(occupancy)
-        if self._shared:
-            self._fomite_step(occupancy)
-            for cell in self._shared:
-                self.contamination[cell] *= self._decay_factor
+        self._fomite_step(occupancy)
         self._log_encounters(occupancy, day, eod)
         self._fire_timers(day)
 
@@ -482,37 +485,35 @@ class Simulation:
         self._q_epochs += self._n_q
         occupancy, movers = self._occupancy, self._movers
         if eod in (0, WORK_START, WORK_END):
-            self._occupancy = occupancy = {}
-            for agent in self.agents:
-                cell = agent.cell = self._place(agent, eod)
-                group = occupancy.get(cell)
-                if group is None:
-                    occupancy[cell] = [agent]
-                else:
-                    group.append(agent)
-            # any cell may have changed; at 00:00 every group reopens its run
-            self._changed = set(occupancy).union(self._runs)
-            movers.clear()
-            return occupancy
+            movers.update(range(self.cfg.n_agents))
         movers.update(self._errands[eod], self._errands[eod - 1])
         changed = self._changed = set()
+        left = set()  # cells someone left
+        arrivals: dict[int, list[Agent]] = {}  # cell -> newcomers in ascending id
         for aid in sorted(movers):
             agent = self.agents[aid]
             old, cell = agent.cell, self._place(agent, eod)
-            changed.add(old)  # a positive's flushed run reopens here
-            if cell == old:
-                continue
-            agent.cell = cell
-            changed.add(cell)
-            rest = [a for a in occupancy.pop(old) if a is not agent]
-            if rest:
-                occupancy[old] = rest
-            occupancy[cell] = sorted([*occupancy.get(cell, ()), agent], key=lambda a: a.id)
+            # a positive's flushed run reopens here, and at 00:00 every run
+            changed.add(old)
+            if cell != old:
+                agent.cell = cell
+                left.add(old)
+                arrivals.setdefault(cell, []).append(agent)
         movers.clear()
+        changed.update(arrivals)
+        # a regrouped cell gets a new list, so _CellLog's != spots a new group
+        for cell in left.union(arrivals):
+            members = [a for a in occupancy.pop(cell, ()) if a.cell == cell]
+            new = arrivals.get(cell)
+            if new:
+                members = sorted(members + new, key=attrgetter("id")) if members else new
+            if members:
+                occupancy[cell] = members
         return occupancy
 
     def _place(self, agent: Agent, eod: int) -> int:
-        """The cell today's routine puts an agent in at ``eod``."""
+        """The cell today's routine puts an agent in at ``eod``.  An errand
+        also appends its fix to a location-mode carrier's PDS."""
         if agent.state == "Q":
             return agent.home
         if eod == agent.errand_epoch:
@@ -539,22 +540,17 @@ class Simulation:
                         break
 
     def _fomite_step(self, occupancy: dict[int, list[Agent]]) -> None:
-        cfg, rng = self.cfg, self.rng
-        for cell in self._shared:
-            members = occupancy.get(cell)
-            if not members:
-                continue
-            level = self.contamination[cell]
-            deposits = sum(1 for a in members if a.state == "I")
-            if deposits:
-                level += cfg.deposit_rate * deposits
-                self.contamination[cell] = level
-            if level <= 0.0 or cfg.beta_fomite <= 0.0:
-                continue
-            p_pickup = min(1.0, cfg.beta_fomite * level)
-            for target in members:
-                if target.state == "S" and rng.random() < p_pickup:
-                    self._infect(target, None, "fomite", cell)
+        """Deposit, pick up and decay, one shared cell at a time."""
+        cfg, rng, contamination = self.cfg, self.rng, self.contamination
+        for cell, level in contamination.items():
+            members = occupancy.get(cell, ())
+            level += cfg.deposit_rate * sum(a.state == "I" for a in members)
+            if level > 0.0 and cfg.beta_fomite > 0.0:
+                p_pickup = min(1.0, cfg.beta_fomite * level)
+                for target in members:
+                    if target.state == "S" and rng.random() < p_pickup:
+                        self._infect(target, None, "fomite", cell)
+            contamination[cell] = level * self._decay_factor
 
     def _infect(self, target: Agent, source: Agent | None, channel: str, cell: int) -> None:
         target.state = target.disease = "E"
@@ -703,13 +699,10 @@ class Simulation:
     def _close_day(self, day: int) -> None:
         for cell in list(self._runs):
             self._write_run(cell, day, EPOCHS_PER_DAY)
-        counts = {"S": 0, "E": 0, "I": 0, "R": 0, "Q": 0}
-        for agent in self.agents:
-            counts[agent.state] += 1
-        assert sum(counts.values()) == self.cfg.n_agents, "state conservation violated"
-        self.day_rows.append(
-            DayRow(day, counts["S"], counts["E"], counts["I"], counts["R"], counts["Q"], self._new_infections_today)
-        )
+        counts = Counter(agent.state for agent in self.agents)
+        seirq = [counts[state] for state in "SEIRQ"]
+        assert sum(seirq) == self.cfg.n_agents, "state conservation violated"
+        self.day_rows.append(DayRow(day, *seirq, self._new_infections_today))
         self._new_infections_today = 0
 
     # -- results ---------------------------------------------------------------
@@ -862,6 +855,9 @@ def sweep(base: ScenarioConfig, axes: dict[str, Sequence], out_csv: str | Path |
     only once every grid point has passed its checks.
     """
     names = list(axes)
+    for name in names:
+        if not axes[name]:  # its empty grid would check nothing
+            raise ConfigError(name, "sweep axis has no values")
     grid = [dict(zip(names, combo)) for combo in product(*(axes[n] for n in names))]
     # every grid point passes the config file's checks before anything runs
     configs = [type(base).from_json({**base.to_json(), **overrides}) for overrides in grid]

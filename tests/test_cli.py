@@ -99,6 +99,16 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_agents"] == 60
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_out_of_range_seed_override_is_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        obj = MINIMAL_CONFIG if command == "simulate" else {"base": MINIMAL_CONFIG, "sweep": {"adoption": [0.5]}}
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "nested" / "o"
+        assert main([command, "--config", str(path), "--out", str(out), "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: seed: must fit in u64\n"
+        assert not (tmp_path / "nested").exists()
+
 
 class TestTraceDemo:
     def test_two_users_forced_colocation(self, capsys):
@@ -199,6 +209,8 @@ class TestSweepCommand:
             {"horizon_days": [2, 1.5]},
             {"shared_space_cells": [[], [[x, y] for x in range(2) for y in range(2)]]},
             {"bogus": [1]},
+            {"bogus": []},  # no grid point, so only the empty axis is caught
+            {"adoption": []},
         ],
     )
     def test_rejected_sweep_leaves_no_output_directory(self, tmp_path, capsys, axes):

@@ -78,6 +78,30 @@ class TestRecording:
         with pytest.raises(ValueError):
             rec(observed=b"\x01" * 15)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epoch", 300),  # no byte holds it
+            ("epoch", 100),  # a byte, but no epoch
+            ("duration_min", 0),
+            ("duration_min", 16),
+            ("attenuation", 101),
+            ("observed", b"\x02" * 15),
+        ],
+    )
+    def test_reassigned_record_rejected_and_nothing_written(self, field, value):
+        store = ContactStore([rec(observed=b"\x01" * 16, epoch=3)])
+        before = (len(store), store.records(), store.export_lines())
+        bad = rec(observed=b"\x02" * 16)
+        setattr(bad, field, value)  # records are mutable after their own check
+        with pytest.raises(ValueError, match=field):
+            store.record_encounter(bad)
+        assert (len(store), store.records(), store.export_lines()) == before
+        good = rec(observed=b"\x03" * 16, epoch=5)
+        store.record_encounter(good)
+        assert store.records()[-1] == good
+        assert [e.matched_epochs for e in store.check_exposure_ids({good.observed})] == [(5,)]
+
 
 class TestPruning:
     def test_boundary_removed(self):
