@@ -27,6 +27,7 @@ from .secure_agg import Cell, CellIndexSpace
 
 K_ANON = 5  # published counts below this are suppressed to zero
 RATIO_MIN = 0.05  # minimum infected/baseline ratio for a hotspot
+_PUBLISHED_BYTE = bytes(K_ANON <= b for b in range(256))  # translate table: 1 where a count publishes
 
 
 class WrongPurpose(ValueError):
@@ -135,8 +136,7 @@ class DensityMap:
     """Spatio-temporal visit counts by confirmed positives.
 
     ``infected_counts`` holds the true internal values; anything published
-    goes through ``published_counts`` which suppresses entries below the
-    anonymity threshold.
+    goes through ``published_counts``, which suppresses counts below ``K_ANON``.
     """
 
     space: CellIndexSpace
@@ -152,20 +152,20 @@ class DensityMap:
             if any(map(gt, self.infected_counts, self.total_counts)):
                 raise ValueError("infected count exceeds baseline")
 
-    def published_counts(self, k_anon: int = K_ANON) -> list[int]:
-        return [c if c >= k_anon else 0 for c in self.infected_counts]
+    def published_counts(self) -> list[int]:
+        return [c if c >= K_ANON else 0 for c in self.infected_counts]
 
-    def unsuppressed(self, k_anon: int = K_ANON) -> list[int]:
-        """Indices whose count reaches k_anon; every other entry publishes as 0.
+    def unsuppressed(self) -> list[int]:
+        """Indices whose count reaches ``K_ANON``; every other entry publishes as 0.
 
         When every count fits in a byte, one translate flags the entries and
         a regex finds them, so Python work is per found entry only.
         """
         counts = self.infected_counts
         try:
-            flags = bytes(counts).translate(bytes(k_anon <= b for b in range(256)))
+            flags = bytes(counts).translate(_PUBLISHED_BYTE)
         except (TypeError, ValueError):  # a count outside 0..255
-            return list(compress(range(len(counts)), map(le, repeat(k_anon), counts)))
+            return list(compress(range(len(counts)), map(le, repeat(K_ANON), counts)))
         return [m.start() for m in re.finditer(b"\x01", flags)]
 
 
@@ -174,7 +174,7 @@ class Hotspot:
     cell: Cell
     bin_start: int
     infected_count: int
-    ratio: float  # infected/baseline; math.inf when no usable baseline
+    ratio: float  # infected/baseline; math.inf when the map has no baseline
 
 
 @dataclass(frozen=True)
@@ -194,23 +194,20 @@ class RiskMap:
         return self.levels[idx] if idx is not None else 0
 
 
-def detect_hotspots(dmap: DensityMap, *, k_anon: int = K_ANON) -> list[Hotspot]:
-    """Cells×bins with at least k_anon positive visits and, when a baseline
-    exists, an infected share of at least RATIO_MIN.
-
-    Sorted by infected count descending, then (cell, bin) ascending, so
-    repeated calls give an identical total order.
+def detect_hotspots(dmap: DensityMap) -> list[Hotspot]:
+    """Cells×bins with at least ``K_ANON`` positive visits and, when a
+    baseline exists (never below its count, so never 0 here), an infected
+    share of at least ``RATIO_MIN``.  Sorted by infected count descending,
+    then (cell, bin) ascending, so repeated calls give a total order.
     """
     counts, totals = dmap.infected_counts, dmap.total_counts
     found: list[Hotspot] = []
-    for idx in dmap.unsuppressed(k_anon):
+    for idx in dmap.unsuppressed():
         count = counts[idx]
-        cell, bin_start = dmap.space.coordinate(idx)
-        baseline = totals[idx] if totals is not None else 0
-        if baseline == 0:
-            found.append(Hotspot(cell, bin_start, count, math.inf))
-        elif count / baseline >= RATIO_MIN:
-            found.append(Hotspot(cell, bin_start, count, count / baseline))
+        ratio = math.inf if totals is None else count / totals[idx]
+        if ratio >= RATIO_MIN:
+            cell, bin_start = dmap.space.coordinate(idx)
+            found.append(Hotspot(cell, bin_start, count, ratio))
     found.sort(key=lambda h: (-h.infected_count, _sort_key(h.cell), h.bin_start))
     return found
 
@@ -220,25 +217,25 @@ def _sort_key(cell: Cell):
     return cell if isinstance(cell, (tuple, str, int)) else str(cell)
 
 
-def publish_risk_map(dmap: DensityMap, hotspots: Sequence[Hotspot], *, k_anon: int = K_ANON) -> RiskMap:
+def publish_risk_map(dmap: DensityMap, hotspots: Sequence[Hotspot]) -> RiskMap:
     """Level 3 for hotspots; 2 and 1 for the top and middle terciles of the
-    remaining nonzero *published* counts; 0 elsewhere.
+    remaining *published* counts (each at least ``K_ANON``); 0 elsewhere.
 
-    Only suppressed counts feed the tercile levels, so no small-count cell
+    Only published counts feed the tercile levels, so no small-count cell
     can rise above level 0 unless it independently qualified as a hotspot.
     """
     space, counts = dmap.space, dmap.infected_counts
     # hotspots outside the space or off a bin start match no entry
     hot_idx = {space.exact_index(h.cell, h.bin_start) for h in hotspots} - {None}
-    rest = [i for i in dmap.unsuppressed(k_anon) if counts[i] > 0 and i not in hot_idx]
+    rest = [i for i in dmap.unsuppressed() if i not in hot_idx]
 
     levels = [0] * space.dimension
     for i in hot_idx:
         levels[i] = 3
     if rest:
-        nonzero = sorted(counts[i] for i in rest)
-        upper = nonzero[2 * len(nonzero) // 3]
-        lower = nonzero[len(nonzero) // 3]
+        ranked = sorted(counts[i] for i in rest)
+        upper = ranked[2 * len(ranked) // 3]
+        lower = ranked[len(ranked) // 3]
         for i in rest:
             count = counts[i]
             if count >= upper:
@@ -251,9 +248,9 @@ def publish_risk_map(dmap: DensityMap, hotspots: Sequence[Hotspot], *, k_anon: i
 # -- export formats ----------------------------------------------------------
 
 
-def export_density_csv(dmap: DensityMap, path: str | Path, *, k_anon: int = K_ANON) -> None:
+def export_density_csv(dmap: DensityMap, path: str | Path) -> None:
     """Published (suppressed) view only; grid cells as x,y columns."""
-    _write_dense_csv(dmap.space, dmap.published_counts(k_anon), "count", path)
+    _write_dense_csv(dmap.space, dmap.published_counts(), "count", path)
 
 
 def export_risk_csv(rmap: RiskMap, path: str | Path) -> None:

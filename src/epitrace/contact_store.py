@@ -46,6 +46,12 @@ class EncounterRecord:
             raise ValueError(f"attenuation must be in 0..100, got {self.attenuation}")
 
 
+def _check_ints(**fields: object) -> None:
+    for name, value in fields.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _stored_record(observed: bytes, day: int, epoch: int, duration_min: int, attenuation: int) -> EncounterRecord:
     """A record of fields the store checked when they were written, built
     without checking them again."""
@@ -112,17 +118,13 @@ class ContactStore:
             for observed, epoch, duration, attenuation in cols.rows()
         ]
 
-    def _columns(self, day: int) -> _DayColumns:
-        cols = self._days.get(day)
-        if cols is None:
-            cols = self._days[day] = _DayColumns()
-        return cols
-
     def record_encounter(self, rec: EncounterRecord) -> None:
         """Append one record.  A record's fields can be reassigned after it
         was built, so they are checked again, against the ranges
-        ``EncounterRecord`` checks, and a failed check writes nothing."""
-        # hot: slot reads and an inline _columns measured cheaper than locals and a call
+        ``EncounterRecord`` checks; a failed check, or a field that is not an
+        int (``TypeError``), writes nothing.  The day is checked when its
+        columns open, so 3.0 once day 3 is held is stored as day 3."""
+        # hot: slot reads measured cheaper than locals
         if not (
             len(rec.observed) == EPHID_BYTES
             and 0 <= rec.epoch < EPOCHS_PER_DAY
@@ -132,11 +134,19 @@ class ContactStore:
             EncounterRecord(rec.observed, rec.day, rec.epoch, rec.duration_min, rec.attenuation)  # raises the error
         cols = self._days.get(rec.day)
         if cols is None:
+            _check_ints(day=rec.day)
             cols = self._days[rec.day] = _DayColumns()
+        try:  # a byte column rejects a non-int; unlike type checks, a try is free on success
+            cols.epochs.append(rec.epoch)
+            cols.durations.append(rec.duration_min)
+            cols.attenuations.append(rec.attenuation)
+        except TypeError:
+            n = len(cols.observed)
+            del cols.epochs[n:], cols.durations[n:], cols.attenuations[n:]
+            if not n:  # the columns were opened for this record
+                del self._days[rec.day]
+            raise
         cols.observed.append(rec.observed)
-        cols.epochs.append(rec.epoch)
-        cols.durations.append(rec.duration_min)
-        cols.attenuations.append(rec.attenuation)
 
     def record_observations(
         self, observed: Sequence[bytes], day: int, epochs: Sequence[int], duration_min: int, attenuation: int
@@ -145,9 +155,10 @@ class ContactStore:
         the batch shares one day, duration and attenuation.
 
         Validates like ``EncounterRecord`` and raises its ``ValueError``s,
-        one for a length mismatch, and ``TypeError`` for an int in place of
-        ``epochs``; on a failed check nothing is written.
+        one for a length mismatch, and ``TypeError`` for a non-int field or
+        an int in place of ``epochs``; on a failed check nothing is written.
         """
+        _check_ints(day=day, duration_min=duration_min, attenuation=attenuation)
         if not 1 <= duration_min <= 15:
             raise ValueError(f"duration_min must be in 1..15, got {duration_min}")
         if not 0 <= attenuation <= 100:
@@ -171,7 +182,9 @@ class ContactStore:
                 raise ValueError(f"observed id must be {EPHID_BYTES} bytes")
         if not n:
             return
-        cols = self._columns(day)
+        cols = self._days.get(day)
+        if cols is None:
+            cols = self._days[day] = _DayColumns()
         cols.observed += observed
         cols.epochs += packed
         cols.durations += _ONE_BYTE[duration_min] * n
@@ -183,31 +196,18 @@ class ContactStore:
         for day in [d for d in self._days if d <= cutoff]:
             del self._days[day]
 
-    def check_exposure(
-        self,
-        report: ExposureReport,
-        *,
-        min_minutes: int = EXPOSURE_MIN_MINUTES,
-    ) -> list[ExposureEvent]:
+    def check_exposure(self, report: ExposureReport) -> list[ExposureEvent]:
         """Match a published report against the local log.
 
         A record matches when its observed ID re-derives from any of the
-        report's seeds and its attenuation is at most ATTENUATION_CUTOFF.
+        report's seeds and its attenuation is at most ``ATTENUATION_CUTOFF``.
         Matched minutes accumulate per day; each day at or above
-        ``min_minutes`` yields one event.
+        ``EXPOSURE_MIN_MINUTES`` yields one event.
         """
-        return self.check_exposure_ids(report_id_set(report), min_minutes=min_minutes)
+        return self.check_exposure_ids(report_id_set(report))
 
-    def check_exposure_ids(
-        self,
-        ids: set[bytes],
-        *,
-        min_minutes: int = EXPOSURE_MIN_MINUTES,
-    ) -> list[ExposureEvent]:
-        """Same as check_exposure but against a pre-expanded ID set.
-
-        A day yields an event only if at least one record on it matched.
-        """
+    def check_exposure_ids(self, ids: set[bytes]) -> list[ExposureEvent]:
+        """Same as check_exposure but against a pre-expanded ID set."""
         events = []
         for day, cols in sorted(self._days.items()):
             if ids.isdisjoint(cols.observed):
@@ -219,17 +219,13 @@ class ContactStore:
                 if attenuation[k] <= ATTENUATION_CUTOFF:
                     total += duration[k]
                     epochs.add(epoch[k])
-            if epochs and total >= min_minutes:
+            if total >= EXPOSURE_MIN_MINUTES:  # durations are >= 1, so epochs is not empty
                 events.append(ExposureEvent(day, total, tuple(sorted(epochs))))
         return events
 
-    def qualifying_contact_digests(
-        self,
-        window: tuple[int, int] | None = None,
-        *,
-        min_minutes: int = EXPOSURE_MIN_MINUTES,
-    ) -> list[str]:
-        """Digests of observed IDs whose per-day contact crossed the threshold.
+    def qualifying_contact_digests(self, window: tuple[int, int] | None = None) -> list[str]:
+        """Digests of observed IDs with at least ``EXPOSURE_MIN_MINUTES`` of
+        contact on one day.
 
         This is the client-side filter for centralized uploads.  IDs rotate
         per epoch, so grouping by (id, day) is the finest aggregation a
@@ -244,7 +240,7 @@ class ContactStore:
                     continue
                 key = (observed, day)
                 minutes[key] = minutes.get(key, 0) + duration
-        qualified = sorted({obs for (obs, _day), total in minutes.items() if total >= min_minutes})
+        qualified = sorted({obs for (obs, _day), total in minutes.items() if total >= EXPOSURE_MIN_MINUTES})
         return [contact_digest(obs) for obs in qualified]
 
     # -- simulator checkpointing ------------------------------------------

@@ -130,11 +130,14 @@ class ScenarioConfig:
             raise ConfigError("errand_mode", f"unknown mode {self.errand_mode!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed", "must fit in u64")
-        for cell in self.shared_space_cells:
-            x, y = cell
+        seen = set()
+        for x, y in self.shared_space_cells:
             if not (0 <= x < self.width and 0 <= y < self.height):
-                raise ConfigError("shared_space_cells", f"cell {cell} outside the grid")
-        n_residential = self.width * self.height - len({(x, y) for x, y in self.shared_space_cells})
+                raise ConfigError("shared_space_cells", f"cell {(x, y)} outside the grid")
+            if (x, y) in seen:  # errands draw from the list, so a repeat would double its share
+                raise ConfigError("shared_space_cells", f"cell {(x, y)} listed twice")
+            seen.add((x, y))
+        n_residential = self.width * self.height - len(seen)
         if n_residential == 0:
             raise ConfigError("shared_space_cells", "no non-shared cells left to live in")
         if self.n_workplaces > n_residential:

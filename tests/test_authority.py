@@ -8,6 +8,7 @@ from bisect import bisect_right
 import pytest
 
 from epitrace.authority import (
+    K_ANON,
     DensityMap,
     Hotspot,
     LocationStore,
@@ -397,10 +398,10 @@ def random_store(rng, density):
 class TestPublicationPassMatchesReference:
     @pytest.mark.parametrize("space_name", sorted(QUERY_SPACES))
     @pytest.mark.parametrize(
-        "with_baseline,k_anon,density",
-        [(False, 5, 0.3), (True, 5, 0.3), (False, 2, 0.3), (True, 9, 0.6), (False, 5, 0.0)],
+        "with_baseline,density",
+        [(False, 0.3), (True, 0.3), (False, 0.6), (True, 0.6), (False, 0.0)],
     )
-    def test_seeded_maps(self, space_name, with_baseline, k_anon, density):
+    def test_seeded_maps(self, space_name, with_baseline, density):
         space = QUERY_SPACES[space_name]
         for seed in range(8):
             rng = random.Random(seed)
@@ -410,15 +411,15 @@ class TestPublicationPassMatchesReference:
             assert dmap.infected_counts == tuple(inf)
             if with_baseline:
                 assert dmap.total_counts == tuple(max(t, i) for t, i in zip(ref_bucket(baseline, space), inf))
-            hotspots = detect_hotspots(dmap, k_anon=k_anon)
-            assert hotspots == ref_hotspots(dmap, k_anon)
+            hotspots = detect_hotspots(dmap)
+            assert hotspots == ref_hotspots(dmap, K_ANON)
             extra = [
                 Hotspot((7, 7), space.bins[0], 99, math.inf),  # cell outside the space
                 Hotspot(space.cells[0], space.bins[0] + 1, 99, math.inf),  # inside a bin, not its start
                 Hotspot(space.cells[-1], space.bins[-1], 1, math.inf),
             ]
             for spots in (hotspots, hotspots + extra, extra, []):
-                assert publish_risk_map(dmap, spots, k_anon=k_anon).levels == ref_levels(dmap, spots, k_anon)
+                assert publish_risk_map(dmap, spots).levels == ref_levels(dmap, spots, K_ANON)
             assert publish_risk_map(dmap, extra).levels[space.index_of(space.cells[0], space.bins[0])] != 3
 
     def test_empty_map(self):
@@ -426,16 +427,15 @@ class TestPublicationPassMatchesReference:
         assert detect_hotspots(dmap) == ref_hotspots(dmap, 5) == []
         assert publish_risk_map(dmap, []).levels == ref_levels(dmap, [], 5)
 
-    def test_zero_threshold_and_zero_baseline(self):
-        # k_anon 0 lets zero counts through suppression: zero-baseline
-        # entries become inf-ratio hotspots, and zeros take no tercile level
+    def test_sparse_baseline_gives_finite_ratios(self):
+        # zero baselines sit only under suppressed counts, so a published
+        # entry always has a baseline to divide by
         rng = random.Random(3)
         infected = tuple(rng.choice((0, 0, 1, 2, 8)) for _ in range(HOURLY.dimension))
         total = tuple(i + rng.choice((0, 0, 3, 40)) if i else rng.choice((0, 5)) for i in infected)
         dmap = DensityMap(HOURLY, infected, total)
-        for k_anon in (0, 1, 3):
-            hotspots = detect_hotspots(dmap, k_anon=k_anon)
-            assert hotspots == ref_hotspots(dmap, k_anon)
-            assert any(math.isinf(h.ratio) for h in hotspots) == (k_anon == 0)
-            for spots in (hotspots, hotspots[::7], []):
-                assert publish_risk_map(dmap, spots, k_anon=k_anon).levels == ref_levels(dmap, spots, k_anon)
+        hotspots = detect_hotspots(dmap)
+        assert hotspots == ref_hotspots(dmap, K_ANON)
+        assert hotspots and not any(math.isinf(h.ratio) for h in hotspots)
+        for spots in (hotspots, hotspots[::7], []):
+            assert publish_risk_map(dmap, spots).levels == ref_levels(dmap, spots, K_ANON)

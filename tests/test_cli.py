@@ -58,6 +58,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
+    def test_shared_cell_listed_twice_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"shared_space_cells": [[2, 2], [2, 2], [4, 4]]})
+        out = tmp_path / "nested" / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: shared_space_cells: cell (2, 2) listed twice\n"
+        assert not (tmp_path / "nested").exists()
+
     def test_location_run_builds_density_map_once(self, tmp_path, density_builds):
         cfg = write_config(tmp_path)
         out = tmp_path / "loc"

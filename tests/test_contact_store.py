@@ -102,6 +102,29 @@ class TestRecording:
         assert store.records()[-1] == good
         assert [e.matched_epochs for e in store.check_exposure_ids({good.observed})] == [(5,)]
 
+    @pytest.mark.parametrize(
+        "field, value", [("day", 2.5), ("epoch", 3.5), ("duration_min", 3.5), ("attenuation", 30.0)]
+    )
+    @pytest.mark.parametrize("day", [0, 9])  # a day the store holds, and one it has not opened
+    def test_non_int_field_rejected_and_nothing_written(self, field, value, day):
+        store = ContactStore([rec(observed=b"\x01" * 16, epoch=3)])
+        before = (len(store), store.records(), store.export_lines())
+        bad = rec(observed=b"\x02" * 16, day=day)
+        setattr(bad, field, value)  # within every range, so only its type is wrong
+        with pytest.raises(TypeError):
+            store.record_encounter(bad)
+        with pytest.raises(TypeError):
+            store.record_observations([bad.observed], bad.day, [bad.epoch], bad.duration_min, bad.attenuation)
+        assert (len(store), store.records(), store.export_lines()) == before
+        # later writes keep their own fields, and a day the failed write would
+        # have opened is listed in the order it was first written
+        store.record_encounter(rec(observed=b"\x03" * 16, day=1))
+        store.record_encounter(rec(observed=b"\x04" * 16, day=day, epoch=7, duration=9, attenuation=20))
+        store.record_observations([b"\x05" * 16], day, [5], 15, 30)
+        later = [f"{day},7,9,20," + "04" * 16, f"{day},5,15,30," + "05" * 16]
+        day_1 = ["1,0,15,30," + "03" * 16]
+        assert store.export_lines() == before[2] + (later + day_1 if day == 0 else day_1 + later)
+
 
 class TestPruning:
     def test_boundary_removed(self):
@@ -378,8 +401,8 @@ class TestBulkRecording:
         store.record_observations(ids[:3], 0, [4] * 3, 15, ATTENUATION_CUTOFF + 1)
         store.record_observations([rng.randbytes(16)], 0, [5], 15, 10)
         store.record_observations([rng.randbytes(16)], 1, [5], 15, 10)
-        assert store.check_exposure(report, min_minutes=0) == []
-        assert oracle_check(store, report, min_minutes=0) == []
+        assert store.check_exposure(report) == []
+        assert oracle_check(store, report) == []
 
 
 record_fields = st.builds(

@@ -86,6 +86,11 @@ class TestConfigValidation:
             )
         assert err.value.field == "shared_space_cells"
 
+    def test_shared_cell_listed_twice(self):
+        with pytest.raises(ConfigError, match=r"\(2, 2\) listed twice") as err:
+            ScenarioConfig.from_json({"shared_space_cells": [[2, 2], [4, 4], [2, 2]]})
+        assert err.value.field == "shared_space_cells"
+
     @pytest.mark.parametrize(
         "field,value",
         [
