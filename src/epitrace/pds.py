@@ -15,12 +15,13 @@ import json
 import math
 import random
 import secrets
-from bisect import bisect_left, insort
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from operator import le
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .contact_store import ContactStore
 
@@ -30,7 +31,7 @@ BIN_MINUTES = (1, 15, 60, 1440)
 
 SNAPSHOT_SCHEMA = "epitrace-pds v1"
 
-_point_time = attrgetter("t")
+_T_LIMIT = 1 << 63  # a fix's t is stored as a signed 64-bit int
 
 
 class TrackingStopped(RuntimeError):
@@ -78,6 +79,8 @@ class LocationPoint:
             raise ValueError(f"lat {self.lat} outside [-90, 90]")
         if not -180.0 <= self.lon <= 180.0:
             raise ValueError(f"lon {self.lon} outside [-180, 180]")
+        if type(self.t) is not int or not -_T_LIMIT <= self.t < _T_LIMIT:
+            raise ValueError(f"t {self.t!r} is not an int in signed 64-bit range")
 
 
 @dataclass(frozen=True)
@@ -205,32 +208,39 @@ def coarsen(
     visit whose dwell is the ceiling of the merged time span in minutes
     (minimum one minute for a lone fix).
     """
+    return _coarsen_fixes(((p.t, p.lat, p.lon) for p in traj), g, poi_map, muni_map)
+
+
+def _coarsen_fixes(
+    fixes: Iterable[tuple[int, float, float]], g: Granularity, poi_map, muni_map
+) -> list[CoarsenedVisit]:
+    """``coarsen`` over time-sorted (t, lat, lon) fixes."""
     if g.spatial is SpatialLevel.POI and poi_map is None:
         raise MissingMap("POI granularity requires a poi_map")
     if g.spatial is SpatialLevel.MUNICIPALITY and muni_map is None:
         raise MissingMap("municipality granularity requires a muni_map")
 
-    def cell_of(p: LocationPoint) -> object:
+    def cell_of(lat: float, lon: float) -> object:
         if g.spatial is SpatialLevel.EXACT_POINT:
-            return (p.lat, p.lon)
+            return (lat, lon)
         if g.spatial is SpatialLevel.GRID:
-            return grid_cell(p.lat, p.lon, g.cell_deg)
+            return grid_cell(lat, lon, g.cell_deg)
         if g.spatial is SpatialLevel.POI:
-            return poi_map.label_for(p.lat, p.lon)
-        return muni_map.label_for(p.lat, p.lon)
+            return poi_map.label_for(lat, lon)
+        return muni_map.label_for(lat, lon)
 
     bin_seconds = g.bin_minutes * 60
     visits: list[CoarsenedVisit] = []
     run_key: tuple | None = None
     run_start = run_end = 0
-    for p in traj:
-        key = (cell_of(p), (p.t // bin_seconds) * bin_seconds)
+    for t, lat, lon in fixes:
+        key = (cell_of(lat, lon), (t // bin_seconds) * bin_seconds)
         if key == run_key:
-            run_end = p.t
+            run_end = t
             continue
         if run_key is not None:
             visits.append(_close_run(run_key, run_start, run_end))
-        run_key, run_start, run_end = key, p.t, p.t
+        run_key, run_start, run_end = key, t, t
     if run_key is not None:
         visits.append(_close_run(run_key, run_start, run_end))
     visits.sort(key=lambda v: v.bin_start)
@@ -255,9 +265,10 @@ def minimum_granularity(purpose: Purpose) -> Granularity | None:
 class PersonalDataStore:
     """Exclusive per-citizen store of raw location history.
 
-    ``retention_days`` is the owner's data-minimization choice: when set,
-    points older than that horizon (relative to the newest point) are
-    silently dropped on append.
+    The history is three columns sorted by ``t`` (a fix with an equal ``t``
+    goes after those already stored).  ``retention_days`` is the owner's
+    data-minimization choice: when set, points older than that horizon
+    (relative to the newest point) are silently dropped on append.
     """
 
     def __init__(
@@ -266,7 +277,7 @@ class PersonalDataStore:
         contact_store: ContactStore | None = None,
         retention_days: int | None = None,
     ) -> None:
-        self._points: list[LocationPoint] = []
+        self._t, self._lat, self._lon = array("q"), array("d"), array("d")
         self._consents: list[ConsentRecord] = []
         self._granted: set[Purpose] = set()
         self._stopped = False
@@ -275,23 +286,58 @@ class PersonalDataStore:
         self.contact_store = contact_store
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._t)
+
+    @property
+    def _points(self) -> list[LocationPoint]:
+        """The history as points, in order (a copy, for tests to inspect)."""
+        return list(map(LocationPoint, self._lat, self._lon, self._t))
 
     # -- collection ---------------------------------------------------------
 
     def append_location(self, p: LocationPoint) -> None:
         if self._stopped:
             raise TrackingStopped("location collection has been stopped")
-        points = self._points
-        if points and p.t < points[-1].t:
-            insort(points, p, key=_point_time)
-        else:
-            points.append(p)
+        ts, t = self._t, p.t
+        i = bisect_right(ts, t) if ts and t < ts[-1] else len(ts)
+        ts.insert(i, t)
+        self._lat.insert(i, p.lat)
+        self._lon.insert(i, p.lon)
+        if self._retention_days is not None and ts[0] < ts[-1] - self._retention_days * 86400:
+            self._prune()
+
+    def append_locations(self, ts: Sequence[int], lats: Sequence[float], lons: Sequence[float]) -> None:
+        """Append the fixes ``(lats[i], lons[i])`` at ``ts[i]``, as that many
+        ``append_location`` calls would.  The whole batch is checked before
+        any of it is written, so a bad value leaves the store unchanged."""
+        if self._stopped:
+            raise TrackingStopped("location collection has been stopped")
+        if not len(ts) == len(lats) == len(lons):
+            raise ValueError("ts, lats and lons differ in length")
+        # chained comparisons are False for NaN, so every value is checked
+        if not all(type(t) is int and -_T_LIMIT <= t < _T_LIMIT for t in ts):
+            raise ValueError("t is not an int in signed 64-bit range")
+        if not all(-90.0 <= lat <= 90.0 for lat in lats):
+            raise ValueError("lat outside [-90, 90]")
+        if not all(-180.0 <= lon <= 180.0 for lon in lons):
+            raise ValueError("lon outside [-180, 180]")
+        if not ts:
+            return
+        col = self._t
+        if (not col or ts[0] >= col[-1]) and all(map(le, ts, ts[1:])):
+            col.extend(ts)
+            self._lat.extend(lats)
+            self._lon.extend(lons)
+        else:  # unsorted, or starting before the newest fix
+            for p in map(LocationPoint, lats, lons, ts):
+                self.append_location(p)
         if self._retention_days is not None:
-            # points stay sorted by t, so the expired ones are a prefix
-            cutoff = points[-1].t - self._retention_days * 86400
-            if points[0].t < cutoff:
-                del points[: bisect_left(points, cutoff, key=_point_time)]
+            self._prune()
+
+    def _prune(self) -> None:
+        # the history is sorted by t, so the expired fixes are a prefix
+        n = bisect_left(self._t, self._t[-1] - self._retention_days * 86400)
+        del self._t[:n], self._lat[:n], self._lon[:n]
 
     def grant_consent(self, purpose: Purpose) -> None:
         self._granted.add(purpose)
@@ -313,11 +359,11 @@ class PersonalDataStore:
     ) -> list[CoarsenedVisit]:
         """Coarsen the stored history (optionally day-windowed) in place of
         handing out raw points."""
-        traj = self._points
+        ts = self._t
+        lo, hi = 0, len(ts)
         if window is not None:
-            lo, hi = window[0] * 86400, (window[1] + 1) * 86400
-            traj = [p for p in traj if lo <= p.t < hi]
-        return coarsen(traj, g, poi_map, muni_map)
+            lo, hi = bisect_left(ts, window[0] * 86400), bisect_left(ts, (window[1] + 1) * 86400)
+        return _coarsen_fixes(zip(ts[lo:hi], self._lat[lo:hi], self._lon[lo:hi]), g, poi_map, muni_map)
 
     def build_share_payload(
         self,
@@ -367,7 +413,7 @@ class PersonalDataStore:
     def stop_tracking_and_erase(self, scope: EraseScope, *, now: int = 0) -> None:
         self._stopped = True
         if scope is EraseScope.EVERYTHING:
-            self._points.clear()
+            del self._t[:], self._lat[:], self._lon[:]
             if self.contact_store is not None:
                 self.contact_store.prune(today=1 << 62)
             for c in self._consents:
@@ -379,7 +425,7 @@ class PersonalDataStore:
 
     def save_snapshot(self, path: str | Path) -> None:
         lines = [SNAPSHOT_SCHEMA]
-        lines += [f"{p.lat!r},{p.lon!r},{p.t}" for p in self._points]
+        lines += [f"{lat!r},{lon!r},{t}" for t, lat, lon in zip(self._t, self._lat, self._lon)]
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod

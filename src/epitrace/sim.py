@@ -6,7 +6,9 @@ and surface contamination deposited in shared spaces.  The tracing
 machinery under test runs inside the loop: app carriers broadcast rotating
 ephemeral IDs, log encounters, and on a positive test publish an exposure
 report (and, in location mode, upload a coarsened visit history), after
-which matching contacts quarantine.
+which matching contacts quarantine.  A location-mode carrier's fixes are
+buffered and written to its PDS in one batch at day end, and before its
+upload if it tests positive, so the upload covers its own day.
 
 Everything random flows from one seeded generator in a fixed iteration
 order (agents by ascending id, cells row-major, shared cells in config
@@ -48,7 +50,7 @@ from typing import Sequence, get_type_hints
 from .authority import LocationStore, PublicBoard, channel_identifiers, detect_hotspots, export_hotspots_json
 from .contact_store import ContactStore
 from .crypto_ids import EPOCHS_PER_DAY, DailySeed, derive_next_seed, epoch_ids, report_from_seeds, report_id_set
-from .pds import Granularity, LocationPoint, PersonalDataStore, Purpose
+from .pds import Granularity, PersonalDataStore, Purpose
 from .secure_agg import CellIndexSpace
 
 SECONDS_PER_EPOCH = 900
@@ -266,12 +268,13 @@ class SimMetrics:
 class Agent:
     """One simulated citizen; plain slots class for loop speed.  A carrier's
     ``store`` is complete at every day boundary and, within a day, lags by at
-    most the open run of its cell (see ``Simulation``)."""
+    most the open run of its cell (see ``Simulation``); its ``pds`` lags by
+    today's location ``fixes``, buffered as (t, cell) pairs."""
 
     __slots__ = (
         "id", "home", "work", "has_app", "state", "disease", "generation", "tested", "q_until",
         "cell", "errand_epoch", "errand_cell",
-        "seed_chain", "store", "pds",
+        "seed_chain", "store", "pds", "fixes",
     )
 
     def __init__(self, agent_id: int, home: int, work: int, has_app: bool) -> None:
@@ -290,6 +293,7 @@ class Agent:
         self.seed_chain: list[DailySeed] = []
         self.store: ContactStore | None = None
         self.pds: PersonalDataStore | None = None
+        self.fixes: list[tuple[int, int]] | None = None  # a location-mode carrier's, not yet in pds
 
 
 class _CellLog:
@@ -369,6 +373,7 @@ class Simulation:
         self._runs: dict[int, _CellLog] = {}  # the cells with an open run
 
         self.agents = self._build_agents()
+        self._trackers = [a for a in self.agents if a.fixes is not None]
         self._occupancy: dict[int, list[Agent]] = {}  # everyone starts at home
         for agent in self.agents:
             self._occupancy.setdefault(agent.home, []).append(agent)
@@ -407,6 +412,7 @@ class Simulation:
                 )
                 agent.pds.grant_consent(Purpose.LOCATION_UPLOAD)
                 agent.pds.grant_consent(Purpose.CONTACT_UPLOAD)
+                agent.fixes = [] if cfg.intervention.uploads_location else None
             agents.append(agent)
         return agents
 
@@ -516,14 +522,13 @@ class Simulation:
 
     def _place(self, agent: Agent, eod: int) -> int:
         """The cell today's routine puts an agent in at ``eod``.  An errand
-        also appends its fix to a location-mode carrier's PDS."""
+        also buffers its fix for a location-mode carrier's PDS (see ``_write_fixes``)."""
         if agent.state == "Q":
             return agent.home
         if eod == agent.errand_epoch:
-            if self.cfg.intervention.uploads_location and agent.pds is not None:
+            if agent.fixes is not None:
                 # hourly fixes would miss most 15-minute errands
-                lat, lon = self._centres[agent.errand_cell]
-                agent.pds.append_location(LocationPoint(lat, lon, self.epoch * SECONDS_PER_EPOCH))
+                agent.fixes.append((self.epoch * SECONDS_PER_EPOCH, agent.errand_cell))
             return agent.errand_cell
         return agent.work if WORK_START <= eod < WORK_END else agent.home
 
@@ -682,6 +687,7 @@ class Simulation:
 
         if mode.uploads_location and agent.pds.has_consent(Purpose.LOCATION_UPLOAD):
             window = (max(0, day - (REPORT_WINDOW_DAYS - 1)), day)
+            self._write_fixes(agent)  # the upload covers today so far
             payload, _consent = agent.pds.build_share_payload(
                 Purpose.LOCATION_UPLOAD,
                 Granularity.grid(WORLD_CELL_DEG, 60),
@@ -693,15 +699,22 @@ class Simulation:
 
     def _sample_locations(self) -> None:
         t = self.epoch * SECONDS_PER_EPOCH
-        for agent in self.agents:
-            if agent.pds is None:
-                continue
-            lat, lon = self._centres[agent.cell]
-            agent.pds.append_location(LocationPoint(lat, lon, t))
+        for agent in self._trackers:
+            agent.fixes.append((t, agent.cell))
+
+    def _write_fixes(self, agent: Agent) -> None:
+        """Write a carrier's buffered fixes to its PDS in one batch: at day
+        end, and before its upload, so that it covers the positive's own day."""
+        if agent.fixes:
+            ts, cells = zip(*agent.fixes)
+            agent.pds.append_locations(ts, *zip(*map(self._centres.__getitem__, cells)))
+            agent.fixes.clear()
 
     def _close_day(self, day: int) -> None:
         for cell in list(self._runs):
             self._write_run(cell, day, EPOCHS_PER_DAY)
+        for agent in self._trackers:
+            self._write_fixes(agent)
         counts = Counter(agent.state for agent in self.agents)
         seirq = [counts[state] for state in "SEIRQ"]
         assert sum(seirq) == self.cfg.n_agents, "state conservation violated"

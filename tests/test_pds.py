@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -57,6 +58,21 @@ class TestCollection:
             LocationPoint(91.0, 0.0, 0)
         with pytest.raises(ValueError):
             LocationPoint(0.0, -181.0, 0)
+
+    @pytest.mark.parametrize("t", [1.5, 100.0, True, "5", None, 2**63, -(2**63) - 1, 10**30])
+    def test_t_must_be_an_int_in_signed_64_bit_range(self, t):
+        with pytest.raises(ValueError, match="^t "):
+            LocationPoint(0.0, 0.0, t)
+        pds = make_pds()
+        with pytest.raises(ValueError, match="^t "):
+            pds.append_locations([0, t], [0.0, 0.0], [0.0, 0.0])
+        assert len(pds) == 0
+
+    def test_t_range_ends_accepted(self):
+        pds = make_pds()
+        pds.append_location(LocationPoint(0.0, 0.0, 2**63 - 1))
+        pds.append_locations([-(2**63)], [0.0], [0.0])
+        assert [p.t for p in pds._points] == [-(2**63), 2**63 - 1]  # noqa: SLF001
 
     def test_retention_drops_old_points(self):
         pds = PersonalDataStore(retention_days=1)
@@ -272,9 +288,11 @@ class TestErasure:
         pds = make_pds(contact_store=store)
         pds.grant_consent(Purpose.LOCATION_UPLOAD)
         pds.append_location(LocationPoint(0.0, 0.0, 0))
+        pds.append_locations([5, 3], [1.0, 2.0], [3.0, 4.0])
         pds.build_share_payload(Purpose.LOCATION_UPLOAD, Granularity.grid(0.01, 60), (0, 0), now=5)
         pds.stop_tracking_and_erase(EraseScope.EVERYTHING, now=9)
         assert len(pds) == 0
+        assert pds._points == []  # noqa: SLF001
         assert len(store) == 0
         assert all(c.revoked_at == 9 for c in pds.consent_ledger())
 
@@ -348,6 +366,13 @@ class TestSnapshots:
         PersonalDataStore.load_snapshot(path).save_snapshot(path)
         assert path.read_text() == saved
 
+    @pytest.mark.parametrize("t", ["100000000000000000000", "1.5", "1e3"])
+    def test_t_that_is_not_a_64_bit_int_raises_value_error(self, tmp_path, t):
+        path = tmp_path / "pds.snapshot"
+        path.write_text(f"{SCHEMA}\n0.0,0.0,{t}\n")
+        with pytest.raises(ValueError):
+            PersonalDataStore.load_snapshot(path)
+
     def test_consent_ledger_json_lines(self, tmp_path):
         pds = make_pds()
         pds.grant_consent(Purpose.LOCATION_UPLOAD)
@@ -412,3 +437,82 @@ class TestRetentionPrune:
                 pds.append_location(p)
                 reference_append(reference, p, retention_days)
                 assert pds._points == reference  # noqa: SLF001
+
+
+def snapshot_text(pds, tmp_path):
+    path = tmp_path / "pds.snapshot"
+    pds.save_snapshot(path)
+    return path.read_text()
+
+
+COARSENINGS = [
+    Granularity(SpatialLevel.EXACT_POINT, None, 1),
+    Granularity.grid(0.001, 15),
+    Granularity.grid(0.01, 60),
+    Granularity.grid(0.1, 1440),
+]
+
+
+class TestBulkAppend:
+    def test_matches_single_appends(self, tmp_path):
+        rng = random.Random(47)
+        kinds = Counter()
+        for retention_days in (1, 2, 15):
+            bulk, single = (PersonalDataStore(retention_days=retention_days) for _ in range(2))
+            t = 0
+            for _ in range(150):
+                ts = []
+                for _ in range(rng.randrange(0, 30)):
+                    t += rng.choice((0, 0, 600, 3600, 86400 // 3))
+                    ts.append(t)
+                # in order, starting before the newest fix, or shuffled
+                kind = rng.choice(("ordered", "late", "shuffled"))
+                kinds[kind] += 1
+                if kind == "late" and ts:
+                    ts[0] -= rng.choice((1, 3600, retention_days * 86400))
+                elif kind == "shuffled":
+                    rng.shuffle(ts)
+                ts = [max(0, x) for x in ts]
+                lats = [rng.uniform(-1, 1) for _ in ts]
+                lons = [rng.uniform(-1, 1) for _ in ts]
+                bulk.append_locations(ts, lats, lons)
+                for lat, lon, x in zip(lats, lons, ts):
+                    single.append_location(LocationPoint(lat, lon, x))
+                assert bulk._points == single._points  # noqa: SLF001
+                assert len(bulk) == len(single)
+            for g in COARSENINGS:
+                for window in (None, (0, t // 86400), (t // 86400 - 1, t // 86400)):
+                    assert bulk.coarsened(g, window) == single.coarsened(g, window)
+            assert snapshot_text(bulk, tmp_path) == snapshot_text(single, tmp_path)
+        assert min(kinds.values()) > 50
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [(field, v) for field in ("lat", "lon") for v in (math.nan, math.inf, -math.inf)]
+        + [("lat", 90.5), ("lat", -91.0), ("lon", 180.5), ("lon", -181.0)],
+    )
+    @pytest.mark.parametrize("at", [0, 3, 9])
+    def test_bad_value_anywhere_leaves_the_store_unchanged(self, tmp_path, field, bad, at):
+        pds = PersonalDataStore(retention_days=2)
+        pds.append_locations([0, 10], [0.5, 0.5], [0.5, 0.5])
+        before = snapshot_text(pds, tmp_path)
+        columns = {"ts": list(range(86400, 86410)), "lats": [0.0] * 10, "lons": [0.0] * 10}
+        columns[field + "s"][at] = bad
+        with pytest.raises(ValueError, match=f"^{field} "):
+            pds.append_locations(**columns)
+        assert snapshot_text(pds, tmp_path) == before
+
+    def test_lengths_must_agree(self):
+        pds = make_pds()
+        with pytest.raises(ValueError):
+            pds.append_locations([0, 1], [0.0], [0.0, 0.0])
+        assert len(pds) == 0
+
+    def test_stopped_store_rejects_a_batch(self, tmp_path):
+        pds = make_pds()
+        pds.append_locations([0], [0.0], [0.0])
+        pds.stop_tracking_and_erase(EraseScope.COLLECTION_ONLY)
+        before = snapshot_text(pds, tmp_path)
+        with pytest.raises(TrackingStopped):
+            pds.append_locations([1], [0.0], [0.0])
+        assert snapshot_text(pds, tmp_path) == before

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from epitrace.crypto_ids import derive_epoch_id, epoch_ids
+from epitrace.pds import LocationPoint
 from epitrace.sim import (
     EPOCHS_PER_DAY,
     QUARANTINE_DAYS,
@@ -480,6 +481,70 @@ class TestDeferredEncounterLog:
             if epoch % EPOCHS_PER_DAY == EPOCHS_PER_DAY - 1:
                 assert sum(derived) == accompanied
         assert 0 < accompanied < len(carriers) * cfg.horizon_days * EPOCHS_PER_DAY
+
+
+class PerFixWriting(Simulation):
+    """The simulator writing each location fix to its carrier's PDS the
+    moment it is taken, one ``append_location`` call per fix, as it did
+    before fixes were buffered."""
+
+    def _place(self, agent, eod):
+        cell = super()._place(agent, eod)
+        self._write_singly(agent)
+        return cell
+
+    def _sample_locations(self):
+        super()._sample_locations()
+        for agent in self._trackers:
+            self._write_singly(agent)
+
+    def _write_singly(self, agent):
+        if agent.fixes:
+            for t, cell in agent.fixes:
+                lat, lon = self._centres[cell]
+                agent.pds.append_location(LocationPoint(lat, lon, t))
+            agent.fixes.clear()
+
+
+def record_uploads(sim):
+    """Every location payload body ``sim`` ingests, with its epoch, in order."""
+    uploads = []
+    ingest = sim.location_store.ingest_location_payload
+
+    def recording(payload):
+        uploads.append((sim.epoch, payload.body))
+        ingest(payload)
+
+    sim.location_store.ingest_location_payload = recording
+    return uploads
+
+
+class TestLocationFixBuffer:
+    def test_pds_complete_at_day_end_and_before_each_upload(self):
+        cfg = DEFERRED_WORLDS["contact+location"]
+        sim, ref = Simulation(cfg), PerFixWriting(cfg)
+        uploads, ref_uploads = record_uploads(sim), record_uploads(ref)
+        trackers = carriers_of(sim)
+        assert sim._trackers == trackers and all(a.fixes is None for a in sim.agents if not a.has_app)
+        for epoch in range(cfg.horizon_days * EPOCHS_PER_DAY):
+            sim.step_epoch()
+            ref.step_epoch()
+            assert uploads == ref_uploads
+            if epoch % EPOCHS_PER_DAY == EPOCHS_PER_DAY - 1:
+                for a, b in zip(trackers, carriers_of(ref)):
+                    assert a.fixes == []
+                    assert a.pds._points == b.pds._points
+        # a positive tested mid-day uploads that day's fixes too
+        same_day = [
+            epoch
+            for epoch, body in uploads
+            if epoch % EPOCHS_PER_DAY and any(v.bin_start >= epoch // EPOCHS_PER_DAY * 86400 for v in body)
+        ]
+        assert same_day, "no upload carried a fix from its own day"
+
+    def test_no_buffer_without_location_mode(self):
+        sim = Simulation(replace(BASE, intervention=Intervention.CONTACT_TRACING))
+        assert sim._trackers == [] and all(a.fixes is None for a in sim.agents)
 
 
 def routine_cell(agent, eod, in_q):
