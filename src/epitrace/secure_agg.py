@@ -3,9 +3,11 @@
 Every unordered participant pair (i, j) shares a 32-byte seed distributed
 out of band.  Both expand it through SHAKE-256 to the same mask vector;
 i adds it, j subtracts it, so the pairwise terms cancel in the sum and
-each individual share is uniformly masked mod 2^32.  Exactness holds
-because per-entry contributions are bounded below 2^16 and participant
-counts below 2^16, so the true sum never wraps.
+each individual share is uniformly masked mod 2^32.  A share sums whole
+masks, each held as one integer with its u32 words in 64-bit lanes.
+Exactness holds because per-entry contributions are bounded below 2^16
+and rounds of 2^16 or more participants are rejected, so neither the
+true sum nor a lane ever wraps.
 
 Honest-but-curious model only: no dropout recovery, no malicious-party
 defenses.  A missing or malformed share aborts the round.
@@ -19,11 +21,11 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
 MASK_MODULUS = 1 << 32
 ENTRY_BOUND = 1 << 16  # per-participant per-entry sanity bound
+PARTICIPANT_BOUND = 1 << 16  # rounds stay below it, so mask lanes stay below 2^48
 
 _MASK_DOMAIN = b"MASK"
 
@@ -126,8 +128,8 @@ class ContributionVector:
         if len(self.counts) != self.space.dimension:
             raise ValueError(f"expected {self.space.dimension} counts, got {len(self.counts)}")
         for c in self.counts:
-            if not 0 <= c < ENTRY_BOUND:
-                raise ValueError(f"count {c} outside [0, {ENTRY_BOUND})")
+            if type(c) is not int or not 0 <= c < ENTRY_BOUND:
+                raise ValueError(f"count {c!r} is not an int in [0, {ENTRY_BOUND})")
 
     @classmethod
     def from_visits(cls, space: CellIndexSpace, visits: Iterable[tuple[Cell, int]]) -> "ContributionVector":
@@ -175,6 +177,10 @@ class MaskedShare:
         return cls(participant, values)
 
 
+def _mask_stream(secret: bytes, dimension: int) -> bytes:
+    return hashlib.shake_256(secret + _MASK_DOMAIN).digest(4 * dimension)
+
+
 def pairwise_mask(seed: PairwiseSeed | bytes, dimension: int) -> list[int]:
     """Expand a pairwise seed into a deterministic mask vector mod 2^32.
 
@@ -185,8 +191,7 @@ def pairwise_mask(seed: PairwiseSeed | bytes, dimension: int) -> list[int]:
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     secret = seed.secret if isinstance(seed, PairwiseSeed) else seed
-    stream = hashlib.shake_256(secret + _MASK_DOMAIN).digest(4 * dimension)
-    return list(struct.unpack(f">{dimension}I", stream))
+    return list(struct.unpack(f">{dimension}I", _mask_stream(secret, dimension)))
 
 
 def mask_contribution(
@@ -199,28 +204,31 @@ def mask_contribution(
 
     Masks for pairs where ``me`` is the lower index are added; where it is
     the higher index they are subtracted, so they cancel across the cohort.
-    Each word is summed over all its added masks, less the sum over the
-    subtracted ones, and reduced mod 2^32 once at the end, which gives the
-    same words as reducing after every mask.
+    Each mask is read as one integer and split into its even and its odd
+    u32 words, each in the low half of its own 64-bit lane.  A lane sums
+    its counts and added masks plus n_sub * 2^32, less the n_sub subtracted
+    masks, so it never borrows and, with n < 2^16, stays below 2^48; it is
+    reduced mod 2^32 once at the end, as if after every mask.
     """
-    by_peer: dict[int, PairwiseSeed] = {}
-    for s in seeds:
-        if s.i == me:
-            by_peer[s.j] = s
-        elif s.j == me:
-            by_peer[s.i] = s
+    if n >= PARTICIPANT_BOUND:
+        raise ValueError(f"{n} participants, need fewer than {PARTICIPANT_BOUND}")
+    by_peer = {s.j if s.i == me else s.i: s for s in seeds if me in (s.i, s.j)}
     missing = [j for j in range(n) if j != me and j not in by_peer]
     if missing:
         raise MissingSeed(f"participant {me} lacks seeds for peers {missing}")
 
     d = len(v.counts)
-    added, subtracted = [v.counts], []
-    for peer, seed in sorted(by_peer.items()):
-        (added if me < peer else subtracted).append(pairwise_mask(seed, d))
-    values = map(sum, zip(*added))
-    if subtracted:
-        values = map(sub, values, map(sum, zip(*subtracted)))
-    return MaskedShare(me, tuple(x % MASK_MODULUS for x in values))
+    low = int.from_bytes(b"\0\0\0\0\xff\xff\xff\xff" * ((d + 1) // 2), "big")  # low half of each lane
+    counts = int.from_bytes(struct.pack(f">{d}I", *v.counts), "big")
+    lanes = [counts & low, counts >> 32 & low, 0, 0]  # even, odd: added, then subtracted
+    for peer, seed in by_peer.items():
+        mask = int.from_bytes(_mask_stream(seed.secret, d), "big")
+        k = 0 if me < peer else 2
+        lanes[k] += mask & low
+        lanes[k + 1] += mask >> 32 & low
+    bias = sum(peer < me for peer in by_peer) * (low // 0xFFFFFFFF) << 32
+    even, odd = ((lanes[k] + bias - lanes[k + 2]) & low for k in (0, 1))
+    return MaskedShare(me, struct.unpack(f">{d}I", (even | odd << 32).to_bytes(4 * d, "big")))
 
 
 def aggregate(shares: Sequence[MaskedShare], n: int, dimension: int) -> list[int]:
@@ -229,6 +237,8 @@ def aggregate(shares: Sequence[MaskedShare], n: int, dimension: int) -> list[int
     Aborts (raises) without emitting anything partial when the share set
     is not exactly the announced cohort.
     """
+    if n >= PARTICIPANT_BOUND:
+        raise ValueError(f"{n} participants, need fewer than {PARTICIPANT_BOUND}")
     if len(shares) != n:
         raise WrongShareCount(f"expected {n} shares, got {len(shares)}")
     participants = {s.participant for s in shares}

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from epitrace import secure_agg
 from epitrace.secure_agg import (
+    ENTRY_BOUND,
     MASK_MODULUS,
+    PARTICIPANT_BOUND,
     CellIndexSpace,
     ContributionVector,
     DimensionMismatch,
@@ -89,6 +92,23 @@ class TestMasking:
         seeds = [PairwiseSeed(0, 1, bytes(32))]
         with pytest.raises(MissingSeed):
             mask_contribution(v, 0, seeds, 3)  # seed {0,2} absent
+
+    def test_participant_bound(self):
+        # checked before the seeds and the share count, so the error is not
+        # MissingSeed or WrongShareCount (both ValueError subclasses)
+        v = ContributionVector(flat_space(2), (1, 1))
+        for n in (PARTICIPANT_BOUND, PARTICIPANT_BOUND + 1):
+            with pytest.raises(ValueError, match="participants") as err:
+                mask_contribution(v, 0, [], n)
+            assert type(err.value) is ValueError
+            with pytest.raises(ValueError, match="participants") as err:
+                aggregate([], n, 2)
+            assert type(err.value) is ValueError
+        with pytest.raises(MissingSeed):
+            mask_contribution(v, 0, [], PARTICIPANT_BOUND - 1)
+        with pytest.raises(WrongShareCount):
+            aggregate([], PARTICIPANT_BOUND - 1, 2)
+        assert aggregate([], 0, 2) == [0, 0]
 
     def test_share_values_look_nothing_like_plaintext(self):
         rng = random.Random(2)
@@ -235,6 +255,11 @@ class TestContributionVector:
         with pytest.raises(ValueError):
             ContributionVector(flat_space(2), (1,))
 
+    @pytest.mark.parametrize("count", [1.5, 2.0, True, False, "1", None])
+    def test_non_int_count_rejected(self, count):
+        with pytest.raises(ValueError, match=f"count {count!r} "):
+            ContributionVector(flat_space(2), (count, 2))
+
     def test_from_visits_counts_and_drops(self):
         space = CellIndexSpace(((0, 0), (1, 1)), (0, 3600), bin_seconds=3600)
         visits = [((0, 0), 0), ((0, 0), 1800), ((1, 1), 3600), ((9, 9), 0), ((0, 0), 99999)]
@@ -255,15 +280,19 @@ def pinned_round():
     return run_round(random.Random(4242), 6, 97)
 
 
-def ref_pairwise_mask(secret, dimension):
-    stream = hashlib.shake_256(secret + b"MASK").digest(4 * dimension)
+def ref_mask_stream(secret, dimension):
+    return hashlib.shake_256(secret + b"MASK").digest(4 * dimension)
+
+
+def ref_pairwise_mask(secret, dimension, mask_stream=ref_mask_stream):
+    stream = mask_stream(secret, dimension)
     out = []
     for k in range(dimension):
         out.append(int.from_bytes(stream[4 * k : 4 * k + 4], "big"))
     return out
 
 
-def ref_mask_contribution(v, me, seeds, n):
+def ref_mask_contribution(v, me, seeds, n, mask_stream=ref_mask_stream):
     by_peer = {}
     for s in seeds:
         if s.i == me:
@@ -273,7 +302,7 @@ def ref_mask_contribution(v, me, seeds, n):
     values = [c % MASK_MODULUS for c in v.counts]
     d = len(values)
     for peer, seed in sorted(by_peer.items()):
-        mask = ref_pairwise_mask(seed.secret, d)
+        mask = ref_pairwise_mask(seed.secret, d, mask_stream)
         if me < peer:
             for k in range(d):
                 values[k] = (values[k] + mask[k]) % MASK_MODULUS
@@ -332,3 +361,28 @@ class TestReferenceEquivalence:
         for n, d in [(0, 3), (1, 1), (4, 1), (9, 30)]:
             shares = [MaskedShare(i, tuple(rng.randrange(MASK_MODULUS) for _ in range(d))) for i in range(n)]
             assert aggregate(shares, n, d) == ref_aggregate(shares, d)
+
+
+class TestLaneEdges:
+    """Mask streams of all-one and all-zero bytes against the reference.
+
+    With every mask word 2^32 - 1, a participant with more peers below it
+    than above subtracts more than it adds, so a lane without the n_sub *
+    2^32 bias borrows from the lane above; counts at ENTRY_BOUND - 1 and
+    the bias itself fill the bits above 32 that the final reduction clears.
+    An odd dimension leaves the top odd-word lane empty.
+    """
+
+    @pytest.mark.parametrize("fill", [0xFF, 0x00])
+    @pytest.mark.parametrize("d", [1, 2, 97])
+    def test_share_matches_reference(self, monkeypatch, fill, d):
+        def stub(_secret, dimension):
+            return bytes([fill]) * (4 * dimension)
+
+        monkeypatch.setattr(secure_agg, "_mask_stream", stub)
+        v = ContributionVector(flat_space(d), (ENTRY_BOUND - 1,) * d)
+        for n in (1, 2, 3, 40):
+            seeds = make_pairwise_seeds(n, random.Random(n))
+            for me in range(n):
+                want = ref_mask_contribution(v, me, seeds, n, stub)
+                assert mask_contribution(v, me, seeds, n) == want, (n, me)
