@@ -96,7 +96,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "mode", None) is not None:
         cfg = replace(cfg, intervention=_MODE_NAMES[args.mode])
-    return cfg  # Simulation and from_json validate it
+    return cfg  # replace() builds a new config, which checks itself
 
 
 def cmd_simulate(args) -> int:

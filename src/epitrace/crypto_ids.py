@@ -22,8 +22,7 @@ EPOCHS_PER_DAY = 96  # 15-minute epochs
 SEED_BYTES = 32
 EPHID_BYTES = 16
 
-_EPHID_DOMAIN = b"EPHID"
-_EPOCH_SUFFIXES = tuple(_EPHID_DOMAIN + j.to_bytes(4, "big") for j in range(EPOCHS_PER_DAY))
+_EPOCH_SUFFIXES = tuple(b"EPHID" + j.to_bytes(4, "big") for j in range(EPOCHS_PER_DAY))
 
 
 class NonContiguousDays(ValueError):
@@ -94,9 +93,10 @@ def derive_next_seed(seed: DailySeed) -> DailySeed:
 
 
 def derive_epoch_id(secret: bytes, epoch: int) -> bytes:
-    """Raw 16-byte ID for one epoch of one daily secret."""
-    digest = hashlib.sha256(secret + _EPHID_DOMAIN + epoch.to_bytes(4, "big")).digest()
-    return digest[:EPHID_BYTES]
+    """Raw 16-byte ID for one epoch (0..95) of one daily secret."""
+    if not 0 <= epoch < EPOCHS_PER_DAY:
+        raise ValueError(f"epoch {epoch} outside 0..{EPOCHS_PER_DAY - 1}")
+    return epoch_ids(secret, epoch, epoch + 1)[0]
 
 
 def epoch_ids(secret: bytes, start: int = 0, stop: int = EPOCHS_PER_DAY) -> list[bytes]:

@@ -19,6 +19,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from operator import le
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -215,19 +216,18 @@ def _coarsen_fixes(
     fixes: Iterable[tuple[int, float, float]], g: Granularity, poi_map, muni_map
 ) -> list[CoarsenedVisit]:
     """``coarsen`` over time-sorted (t, lat, lon) fixes."""
-    if g.spatial is SpatialLevel.POI and poi_map is None:
-        raise MissingMap("POI granularity requires a poi_map")
-    if g.spatial is SpatialLevel.MUNICIPALITY and muni_map is None:
-        raise MissingMap("municipality granularity requires a muni_map")
-
-    def cell_of(lat: float, lon: float) -> object:
-        if g.spatial is SpatialLevel.EXACT_POINT:
-            return (lat, lon)
-        if g.spatial is SpatialLevel.GRID:
-            return grid_cell(lat, lon, g.cell_deg)
-        if g.spatial is SpatialLevel.POI:
-            return poi_map.label_for(lat, lon)
-        return muni_map.label_for(lat, lon)
+    if g.spatial is SpatialLevel.EXACT_POINT:
+        cell_of = _exact_point
+    elif g.spatial is SpatialLevel.GRID:
+        cell_of = partial(grid_cell, cell_deg=g.cell_deg)
+    elif g.spatial is SpatialLevel.POI:
+        if poi_map is None:
+            raise MissingMap("POI granularity requires a poi_map")
+        cell_of = poi_map.label_for
+    else:
+        if muni_map is None:
+            raise MissingMap("municipality granularity requires a muni_map")
+        cell_of = muni_map.label_for
 
     bin_seconds = g.bin_minutes * 60
     visits: list[CoarsenedVisit] = []
@@ -245,6 +245,10 @@ def _coarsen_fixes(
         visits.append(_close_run(run_key, run_start, run_end))
     visits.sort(key=lambda v: v.bin_start)
     return visits
+
+
+def _exact_point(lat: float, lon: float) -> tuple[float, float]:
+    return (lat, lon)
 
 
 def _close_run(key: tuple, start: int, end: int) -> CoarsenedVisit:

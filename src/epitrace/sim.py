@@ -39,6 +39,7 @@ import csv
 import json
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -110,10 +111,13 @@ class ScenarioConfig:
     n_workplaces: int = 160  # 0 = everyone works from home
     errand_mode: str = "random"  # or "staggered": capacity-spread slots
 
+    def __post_init__(self) -> None:
+        self.validate()  # every construction is checked, so a config that exists is valid
+
     def validate(self) -> None:
         for name, kind in get_type_hints(type(self)).items():
-            if kind is float and not _finite(getattr(self, name)):
-                raise ConfigError(name, "must be a finite number")
+            if problem := _type_problem(getattr(self, name), kind):
+                raise ConfigError(name, problem)
         for name in ("n_agents", "width", "height", "horizon_days"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
@@ -156,28 +160,19 @@ class ScenarioConfig:
         if not isinstance(obj, dict):
             raise ConfigError("<file>", "top-level config must be an object")
         types = get_type_hints(cls)
-        for key, value in obj.items():
+        for key in obj:
             if key not in types:
                 raise ConfigError(key, "unknown config field")
-            kind = types[key]
-            if kind in (int, float, str) and not _json_fits(value, kind):
-                raise ConfigError(key, f"expected {kind.__name__}, got {value!r}")
         kwargs = dict(obj)
         if "intervention" in kwargs:
             try:
                 kwargs["intervention"] = Intervention(kwargs["intervention"])
             except ValueError:
                 raise ConfigError("intervention", f"unknown intervention {kwargs['intervention']!r}") from None
-        if "shared_space_cells" in kwargs:
-            cells = kwargs["shared_space_cells"]
-            if not isinstance(cells, (list, tuple)) or not all(
-                isinstance(c, (list, tuple)) and len(c) == 2 and all(_json_fits(v, int) for v in c) for c in cells
-            ):
-                raise ConfigError("shared_space_cells", "expected a list of [x, y] integer pairs")
-            kwargs["shared_space_cells"] = tuple(tuple(c) for c in cells)
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        cells = kwargs.get("shared_space_cells")
+        if isinstance(cells, list):
+            kwargs["shared_space_cells"] = tuple(tuple(c) if isinstance(c, list) else c for c in cells)
+        return cls(**kwargs)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -185,31 +180,31 @@ class ScenarioConfig:
 
 
 def read_config_json(path: str | Path):
-    """Parsed JSON of a config file.  Any ValueError while reading it (bad
+    """Parsed JSON of a config file.  A file that cannot be read (missing, a
+    directory, no permission) and any ValueError while parsing it (bad
     syntax, an integer past Python's digit limit, undecodable bytes) is a
     ConfigError, so the CLI reports it as a usage error."""
     try:
         return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ConfigError("<file>", f"cannot read: {e}") from None
     except ValueError as e:
         raise ConfigError("<file>", f"invalid JSON: {e}") from None
 
 
-def _finite(value: float) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _json_fits(value, kind: type) -> bool:
-    """A JSON value for a field of type int, float or str: booleans are not
-    numbers, and an int fits a float field (``validate`` checks that
-    floats are finite)."""
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
+def _type_problem(value, kind: type) -> str | None:
+    """Why ``value`` cannot fill a field annotated ``kind``, or None if it can.  Booleans are
+    not numbers, and a float field takes a finite float or an int that a float can hold."""
+    if kind == tuple[tuple[int, int], ...]:
+        pairs = isinstance(value, tuple) and all(
+            isinstance(c, tuple) and len(c) == 2 and not any(_type_problem(v, int) for v in c) for c in value
+        )
+        return None if pairs else "expected a list of [x, y] integer pairs"
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        return f"expected {kind.__name__}, got {value!r}"
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN and inf compare False
+        return "must be a finite number"
+    return None
 
 
 @dataclass(frozen=True)
@@ -333,7 +328,6 @@ class Simulation:
     """
 
     def __init__(self, cfg: ScenarioConfig) -> None:
-        cfg.validate()
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         self.epoch = 0

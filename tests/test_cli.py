@@ -116,6 +116,15 @@ class TestSimulate:
         assert capsys.readouterr().err == "config error: seed: must fit in u64\n"
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("name", ["missing.json", "a-directory"])
+    def test_config_file_that_cannot_be_read_is_usage_error(self, tmp_path, capsys, command, name):
+        (tmp_path / "a-directory").mkdir()
+        out = tmp_path / "nested" / "o"
+        assert main([command, "--config", str(tmp_path / name), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: <file>: cannot read: [Errno ")
+        assert not (tmp_path / "nested").exists()
+
 
 class TestTraceDemo:
     def test_two_users_forced_colocation(self, capsys):

@@ -95,6 +95,11 @@ class TestEphemeralIds:
             ]
         assert epoch_ids(bytes(32))[:2] == [bytes.fromhex(EPHID_ZERO_EPOCH0), bytes.fromhex(EPHID_ZERO_EPOCH1)]
 
+    @pytest.mark.parametrize("epoch", [-1, EPOCHS_PER_DAY, 10**6])
+    def test_single_id_only_for_an_epoch_of_the_day(self, epoch):
+        with pytest.raises(ValueError, match=f"epoch {epoch} outside 0..95"):
+            derive_epoch_id(bytes(32), epoch)
+
     def test_epoch_range_is_a_slice_of_the_day(self):
         rng = random.Random(13)
         secret = rng.randbytes(32)

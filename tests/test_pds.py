@@ -33,6 +33,38 @@ def make_pds(**kwargs):
     return PersonalDataStore(rng=random.Random(0), **kwargs)
 
 
+def random_walk(rng, extent_deg):
+    """1 to 59 time-sorted fixes, uniform over [0, extent_deg)^2."""
+    t = 0
+    points = []
+    for _ in range(rng.randrange(1, 60)):
+        t += rng.randrange(30, 1200)
+        points.append(LocationPoint(rng.uniform(0, extent_deg), rng.uniform(0, extent_deg), t))
+    return points
+
+
+def brute_force_visits(points, g, cell_of):
+    """Walk the fixes and cut a visit at every (cell, bin) change, as
+    (cell, bin_start, dwell_min) sorted by bin_start."""
+    bin_seconds = g.bin_minutes * 60
+    expected = []
+    run = None
+    for p in points:
+        key = (cell_of(p.lat, p.lon), p.t // bin_seconds * bin_seconds)
+        if run is not None and key == run[0]:
+            run[2] = p.t
+            continue
+        if run is not None:
+            expected.append(run)
+        run = [key, p.t, p.t]
+    if run is not None:
+        expected.append(run)
+    return sorted(
+        [(key[0], key[1], max(1, math.ceil((end - start) / 60))) for key, start, end in expected],
+        key=lambda e: e[1],
+    )
+
+
 class TestCollection:
     def test_append(self):
         pds = make_pds()
@@ -101,35 +133,38 @@ class TestCoarsening:
     def test_merge_matches_brute_force(self):
         rng = random.Random(42)
         g = Granularity.grid(0.01, 15)
-        bin_seconds = g.bin_minutes * 60
         for _ in range(50):
-            t = 0
-            points = []
-            for _ in range(rng.randrange(1, 60)):
-                t += rng.randrange(30, 1200)
-                points.append(
-                    LocationPoint(rng.uniform(0, 0.05), rng.uniform(0, 0.05), t)
-                )
-            visits = coarsen(points, g)
-            # brute force: walk the list, cut a visit at every key change
-            expected = []
-            run = None
-            for p in points:
-                key = (grid_cell(p.lat, p.lon, 0.01), p.t // bin_seconds * bin_seconds)
-                if run is not None and key == run[0]:
-                    run[2] = p.t
-                    continue
-                if run is not None:
-                    expected.append(run)
-                run = [key, p.t, p.t]
-            if run is not None:
-                expected.append(run)
-            expected = sorted(
-                [(key[0], key[1], max(1, math.ceil((end - start) / 60))) for key, start, end in expected],
-                key=lambda e: e[1],
+            points = random_walk(rng, 0.05)
+            got = [(v.cell, v.bin_start, v.dwell_min) for v in coarsen(points, g)]
+            assert sorted(got, key=lambda e: e[1]) == brute_force_visits(
+                points, g, lambda lat, lon: grid_cell(lat, lon, 0.01)
             )
-            got = [(v.cell, v.bin_start, v.dwell_min) for v in visits]
-            assert sorted(got, key=lambda e: e[1]) == expected
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Granularity(SpatialLevel.EXACT_POINT, None, 1),
+            Granularity.grid(0.001, 15),
+            Granularity.grid(0.1, 60),
+            Granularity(SpatialLevel.POI, None, 60),
+            Granularity(SpatialLevel.MUNICIPALITY, None, 1440),
+        ],
+        ids=lambda g: f"{g.spatial.value}-{g.cell_deg}-{g.bin_minutes}",
+    )
+    def test_every_spatial_level_matches_brute_force(self, g):
+        poi = CellLabelMap({(0, 0): "cafe", (1, 1): "park"}, cell_deg=0.01, fallback_prefix="poi")
+        muni = CellLabelMap({(0, 0): "pisa"}, cell_deg=0.1)
+        cell_of = {
+            SpatialLevel.EXACT_POINT: lambda lat, lon: (lat, lon),
+            SpatialLevel.GRID: lambda lat, lon: grid_cell(lat, lon, g.cell_deg),
+            SpatialLevel.POI: poi.label_for,
+            SpatialLevel.MUNICIPALITY: muni.label_for,
+        }[g.spatial]
+        rng = random.Random(43)
+        for _ in range(30):
+            points = random_walk(rng, 0.25)
+            got = [(v.cell, v.bin_start, v.dwell_min) for v in coarsen(points, g, poi, muni)]
+            assert sorted(got, key=lambda e: e[1]) == brute_force_visits(points, g, cell_of)
 
     def test_single_fix_has_min_dwell(self):
         visits = coarsen([LocationPoint(0.0, 0.0, 50)], Granularity.grid(0.001, 1))
@@ -138,6 +173,11 @@ class TestCoarsening:
     def test_poi_requires_map(self):
         with pytest.raises(MissingMap):
             coarsen([LocationPoint(0.0, 0.0, 0)], Granularity(SpatialLevel.POI, None, 60))
+
+    def test_municipality_requires_map(self):
+        muni_as_poi = CellLabelMap({}, cell_deg=0.1)  # the map for the other level does not count
+        with pytest.raises(MissingMap):
+            coarsen([LocationPoint(0.0, 0.0, 0)], Granularity(SpatialLevel.MUNICIPALITY, None, 1440), muni_as_poi)
 
     def test_municipality_labels(self):
         muni = CellLabelMap({(0, 0): "pisa"}, cell_deg=0.1)

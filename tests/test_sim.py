@@ -4,6 +4,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -60,6 +61,19 @@ config_objects = st.dictionaries(
 )
 
 
+WRONG_JSON_TYPES = [
+    ("n_agents", "5"),
+    ("horizon_days", 1.5),
+    ("seed", True),
+    ("adoption", None),
+    ("beta_fomite", float("nan")),
+    ("errand_mode", 3),
+    ("shared_space_cells", [[1, 2, 3]]),
+    ("shared_space_cells", [[1, "2"]]),
+    ("shared_space_cells", "2,2"),
+]
+
+
 def day_table(sim):
     return [(r.day, r.s, r.e, r.i, r.r, r.q, r.new_infections) for r in sim.day_rows]
 
@@ -92,23 +106,32 @@ class TestConfigValidation:
             ScenarioConfig.from_json({"shared_space_cells": [[2, 2], [4, 4], [2, 2]]})
         assert err.value.field == "shared_space_cells"
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("n_agents", "5"),
-            ("horizon_days", 1.5),
-            ("seed", True),
-            ("adoption", None),
-            ("beta_fomite", float("nan")),
-            ("errand_mode", 3),
-            ("shared_space_cells", [[1, 2, 3]]),
-            ("shared_space_cells", [[1, "2"]]),
-            ("shared_space_cells", "2,2"),
-        ],
-    )
+    @pytest.mark.parametrize("field,value", WRONG_JSON_TYPES)
     def test_wrong_json_type_names_field(self, field, value):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_json({field: value})
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("build", [ScenarioConfig, partial(replace, BASE)], ids=["constructor", "replace"])
+    @pytest.mark.parametrize(
+        "field,value",
+        WRONG_JSON_TYPES
+        + [
+            ("seed", 1.5),
+            ("n_workplaces", True),
+            ("adoption", True),
+            ("horizon_days", 2.5),
+            ("n_agents", 5.5),
+            ("n_index_cases", 1.0),
+            ("deposit_rate", 10**400),
+            ("intervention", "contact"),
+            ("shared_space_cells", ((1.5, 2),)),
+            ("shared_space_cells", [(2, 2)]),  # a list would make the frozen config unhashable
+        ],
+    )
+    def test_wrong_type_in_code_built_config_names_field(self, build, field, value):
+        with pytest.raises(ConfigError) as err:
+            build(**{field: value})
         assert err.value.field == field
 
     def test_non_object_config_rejected(self):
