@@ -14,7 +14,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
 from operator import gt, le
 from pathlib import Path
@@ -23,7 +25,7 @@ from typing import Iterable, Sequence
 from .contact_store import RETENTION_DAYS
 from .crypto_ids import EscrowTable, ExposureReport, report_id_set
 from .pds import Purpose, SharePayload
-from .secure_agg import Cell, CellIndexSpace
+from .secure_agg import MASK_MODULUS, Cell, CellIndexSpace
 
 K_ANON = 5  # published counts below this are suppressed to zero
 RATIO_MIN = 0.05  # minimum infected/baseline ratio for a hotspot
@@ -86,14 +88,14 @@ def resolve_and_notify(escrow: EscrowTable, contact_digests: Iterable[str]) -> s
 class LocationStore:
     """Accumulates coarsened visits from confirmed-positive uploads.
 
-    Counts are keyed by (cell, exact bin_start).  A payload's pseudonym is
-    kept only long enough to deduplicate resubmissions within the current
-    upload window; ``close_upload_window`` discards them all.
+    Counts are grouped as cell -> {exact bin_start: count}.  A payload's
+    pseudonym is kept only long enough to deduplicate resubmissions within
+    the current upload window; ``close_upload_window`` discards them all.
     """
 
     def __init__(self) -> None:
-        self._infected: dict[tuple[Cell, int], int] = {}
-        self._baseline: dict[tuple[Cell, int], int] = {}
+        self._infected: defaultdict[Cell, Counter[int]] = defaultdict(Counter)
+        self._baseline: defaultdict[Cell, Counter[int]] = defaultdict(Counter)
         self._window_pseudonyms: set[bytes] = set()
 
     def ingest_location_payload(self, payload: SharePayload) -> None:
@@ -103,24 +105,27 @@ class LocationStore:
             return
         self._window_pseudonyms.add(payload.pseudonym)
         for visit in payload.body:
-            key = (visit.cell, visit.bin_start)
-            self._infected[key] = self._infected.get(key, 0) + 1
+            self._infected[visit.cell][visit.bin_start] += 1
 
     def ingest_aggregate(self, space: CellIndexSpace, sums: Sequence[int], *, baseline: bool = False) -> None:
-        """Fold in a secure-aggregation result (one count vector per round)."""
+        """Fold in a secure-aggregation result (one count vector per round);
+        a vector with any entry not an int in [0, MASK_MODULUS) stores nothing."""
         if len(sums) != space.dimension:
             raise ValueError(f"aggregate dimension {len(sums)} != space dimension {space.dimension}")
+        for idx, value in enumerate(sums):
+            if type(value) is not int or not 0 <= value < MASK_MODULUS:
+                raise ValueError(f"aggregate entry {idx} is {value!r}, not an int in [0, {MASK_MODULUS})")
         target = self._baseline if baseline else self._infected
         for idx, value in enumerate(sums):
             if value:
-                key = space.coordinate(idx)
-                target[key] = target.get(key, 0) + value
+                cell, bin_start = space.coordinate(idx)
+                target[cell][bin_start] += value
 
     def close_upload_window(self) -> None:
         self._window_pseudonyms.clear()
 
     def infected_count_at(self, cell: Cell, bin_start: int) -> int:
-        return self._infected.get((cell, bin_start), 0)
+        return self._infected.get(cell, Counter())[bin_start]
 
     def build_density_map(self, space: CellIndexSpace, *, with_baseline: bool = False) -> "DensityMap":
         infected = tuple(space.dense_counts(self._infected))
@@ -155,7 +160,8 @@ class DensityMap:
     def published_counts(self) -> list[int]:
         return [c if c >= K_ANON else 0 for c in self.infected_counts]
 
-    def unsuppressed(self) -> list[int]:
+    @cached_property
+    def unsuppressed(self) -> tuple[int, ...]:
         """Indices whose count reaches ``K_ANON``; every other entry publishes as 0.
 
         When every count fits in a byte, one translate flags the entries and
@@ -165,8 +171,8 @@ class DensityMap:
         try:
             flags = bytes(counts).translate(_PUBLISHED_BYTE)
         except (TypeError, ValueError):  # a count outside 0..255
-            return list(compress(range(len(counts)), map(le, repeat(K_ANON), counts)))
-        return [m.start() for m in re.finditer(b"\x01", flags)]
+            return tuple(compress(range(len(counts)), map(le, repeat(K_ANON), counts)))
+        return tuple(m.start() for m in re.finditer(b"\x01", flags))
 
 
 @dataclass(frozen=True)
@@ -202,7 +208,7 @@ def detect_hotspots(dmap: DensityMap) -> list[Hotspot]:
     """
     counts, totals = dmap.infected_counts, dmap.total_counts
     found: list[Hotspot] = []
-    for idx in dmap.unsuppressed():
+    for idx in dmap.unsuppressed:
         count = counts[idx]
         ratio = math.inf if totals is None else count / totals[idx]
         if ratio >= RATIO_MIN:
@@ -227,7 +233,7 @@ def publish_risk_map(dmap: DensityMap, hotspots: Sequence[Hotspot]) -> RiskMap:
     space, counts = dmap.space, dmap.infected_counts
     # hotspots outside the space or off a bin start match no entry
     hot_idx = {space.exact_index(h.cell, h.bin_start) for h in hotspots} - {None}
-    rest = [i for i in dmap.unsuppressed() if i not in hot_idx]
+    rest = [i for i in dmap.unsuppressed if i not in hot_idx]
 
     levels = [0] * space.dimension
     for i in hot_idx:

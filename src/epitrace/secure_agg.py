@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -105,15 +105,21 @@ class CellIndexSpace:
         ci, bi = divmod(flat_index, len(self.bins))
         return self.cells[ci], self.bins[bi]
 
-    def dense_counts(self, counts: Mapping[tuple[Cell, int], int]) -> list[int]:
-        """Flat vector of counts keyed by (cell, timestamp), each added at
-        its index_of; keys outside the space are dropped."""
+    def dense_counts(self, counts: Mapping[Cell, Mapping[int, int]]) -> list[int]:
+        """Flat vector of counts grouped as cell -> {timestamp: count}.  Each
+        cell is looked up once, and each time adds at its bin: a bin start by
+        one dict lookup, any other time by ``bin_index``.  Cells and times
+        outside the space are dropped."""
         out = [0] * self.dimension
-        index_of = self.index_of
-        for (cell, t), n in counts.items():
-            idx = index_of(cell, t)
-            if idx is not None:
-                out[idx] += n
+        n_bins, bin_position, bin_index = len(self.bins), self._bin_position, self.bin_index
+        for cell, by_time in counts.items():
+            if (ci := self._cell_index.get(cell)) is None:
+                continue
+            base = ci * n_bins
+            for t, n in by_time.items():
+                if (bi := bin_position.get(t)) is None and (bi := bin_index(t)) is None:
+                    continue
+                out[base + bi] += n
         return out
 
 
@@ -134,7 +140,10 @@ class ContributionVector:
     @classmethod
     def from_visits(cls, space: CellIndexSpace, visits: Iterable[tuple[Cell, int]]) -> "ContributionVector":
         """Count (cell, timestamp) pairs; pairs outside the space are dropped."""
-        return cls(space, tuple(space.dense_counts(Counter(visits))))
+        by_cell: defaultdict[Cell, Counter[int]] = defaultdict(Counter)
+        for cell, t in visits:
+            by_cell[cell][t] += 1
+        return cls(space, tuple(space.dense_counts(by_cell)))
 
 
 @dataclass(frozen=True)

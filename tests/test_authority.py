@@ -119,6 +119,30 @@ class TestIngestion:
         store.ingest_location_payload(payload)
         assert store.infected_count_at((0, 0), 0) == 2
 
+    @pytest.mark.parametrize("baseline", [False, True])
+    @pytest.mark.parametrize(
+        "bad_idx,bad",
+        [(2, -3), (2, 1.5), (2, True), (1, False), (2, "a"), (3, 1 << 32), (0, None)],
+    )
+    def test_bad_aggregate_stores_nothing(self, baseline, bad_idx, bad):
+        space = small_space()
+        store = LocationStore()
+        store.ingest_aggregate(space, [7] + [0] * 11)
+        store.ingest_aggregate(space, [9] + [0] * 11, baseline=True)
+        before = store.build_density_map(space, with_baseline=True)
+        sums = [5, 0, 0, 0] + [6] * 8
+        sums[bad_idx] = bad
+        with pytest.raises(ValueError, match=f"entry {bad_idx} is {bad!r}"):
+            store.ingest_aggregate(space, sums, baseline=baseline)
+        assert store.infected_count_at((0, 0), 0) == 7
+        assert store.build_density_map(space, with_baseline=True) == before
+
+    def test_aggregate_takes_counts_up_to_mask_modulus(self):
+        space = small_space()
+        store = LocationStore()
+        store.ingest_aggregate(space, [(1 << 32) - 1] + [0] * 11)
+        assert store.infected_count_at((0, 0), 0) == (1 << 32) - 1
+
 
 class TestDensityMaps:
     def test_empty_store_all_zero(self):

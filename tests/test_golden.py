@@ -66,6 +66,7 @@ GOLDEN = {
     "contact+location": {
         "events.log": "709fa9e30f0340f3b4d6d22f9035ca89b848a285102641693f70673cbc1cf04c",
         "summary.json": "7277db91c2a2257ed1471198ca00b4ac450d6247b6aa4361e7409f700e74b74a",
+        "hotspots.json": "4f37826f9ddb866af55dc0b19b1d97e3b946def2ddd5cb64c5266661e2e808f7",
     },
     "contact-delay0": {
         "events.log": "5efe0bf537f3825649d71b7f4165bad61d53e11896c74a4357676bc5473da5fd",

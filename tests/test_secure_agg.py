@@ -3,6 +3,7 @@
 import hashlib
 import random
 from bisect import bisect_right
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -265,6 +266,63 @@ class TestContributionVector:
         visits = [((0, 0), 0), ((0, 0), 1800), ((1, 1), 3600), ((9, 9), 0), ((0, 0), 99999)]
         v = ContributionVector.from_visits(space, visits)
         assert v.counts == (2, 0, 0, 1)
+
+
+# -- dense_counts on cell -> {time: count} vs. a per-key index_of loop ----------
+
+
+def ref_dense_counts(space, grouped):
+    out = [0] * space.dimension
+    for cell, by_time in grouped.items():
+        for t, n in by_time.items():
+            idx = space.index_of(cell, t)
+            if idx is not None:
+                out[idx] += n
+    return out
+
+
+@st.composite
+def space_and_times(draw):
+    """A space over cells a, b, c with bins that may leave gaps, plus a
+    strategy for cells (z lies outside) and one for times: bin starts,
+    times inside a bin, and times anywhere, including gaps and past both
+    ends."""
+    bins = draw(st.lists(st.integers(-500, 500), unique=True).map(sorted))
+    space = CellIndexSpace(("a", "b", "c"), tuple(bins), draw(st.integers(1, 200)))
+    anywhere = st.integers(-1000, 1500) | st.floats(-1000, 1500, allow_nan=False)
+    if bins:
+        starts = st.sampled_from(bins)
+        anywhere = starts | starts.flatmap(lambda b: st.integers(b, b + space.bin_seconds - 1)) | anywhere
+    return space, st.sampled_from(("a", "b", "c", "z")), anywhere
+
+
+class TestDenseCounts:
+    def test_each_kind_of_time(self):
+        space = CellIndexSpace(("a", "b"), (0, 3600, 10800), bin_seconds=3600)
+        grouped = {
+            "a": {0: 1, 1800: 2, 3599: 4, 7200: 8, -1: 16, 14400: 32},  # start, inside, gap, before, after
+            "b": {10800: 3, 14399.5: 5},
+            "z": {0: 64},  # outside the space
+        }
+        assert space.dense_counts(grouped) == [7, 0, 0, 0, 0, 8]
+
+    @given(data=st.data())
+    def test_matches_index_of_loop(self, data):
+        space, cells, times = data.draw(space_and_times())
+        grouped = data.draw(st.dictionaries(cells, st.dictionaries(times, st.integers(1, 50), max_size=10)))
+        assert space.dense_counts(grouped) == ref_dense_counts(space, grouped)
+
+    @given(data=st.data())
+    def test_from_visits_matches_counter(self, data):
+        space, cells, times = data.draw(space_and_times())
+        visits = data.draw(st.lists(st.tuples(cells, times), max_size=30))
+        visits += data.draw(st.lists(st.sampled_from(visits), max_size=10)) if visits else []
+        expected = [0] * space.dimension
+        for (cell, t), n in Counter(visits).items():
+            idx = space.index_of(cell, t)
+            if idx is not None:
+                expected[idx] += n
+        assert ContributionVector.from_visits(space, visits).counts == tuple(expected)
 
 
 # -- masking vs. the per-entry reference loops ----------------------------------
