@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .authority import RiskMap
@@ -102,33 +103,54 @@ def safer_route(
     Stepping into a cell costs 1 + RISK_WEIGHT * level(cell, bin).  Among
     minimum-cost paths the one with fewest hops wins, and among those the
     lexicographically smallest cell sequence.  Cells absent from the risk
-    map's space count as level 0.
+    map's space, and all cells when bin_start is in no bin, count as level
+    0; a level in the bin's column that is not an int in 0..3 raises
+    ValueError.
+
+    A* orders labels by (cost + h, hops + h, path), h the Manhattan distance
+    to dest, so labels at one cell compare as (cost, hops, path).  A step
+    adds >= 1 to cost, 1 to hops and +-1 to h: no key falls along a path,
+    and where one does not rise the longer path compares greater.  h is 0
+    at dest, so the first dest label popped is the smallest.
     """
     for name, (x, y) in (("origin", origin), ("dest", dest)):
         if not (0 <= x < width and 0 <= y < height):
             raise ValueError(f"{name} {x, y} outside the {width}x{height} grid")
 
-    # A label (cost, hops, path) orders exactly as the tie-break above.
-    # Appending one cell to two equal-length paths keeps their order and
-    # every step costs at least 1, so the first label popped at dest wins.
-    start = (0, 0, (origin,))
+    space, level = risk.space, {}
+    if (bi := space.bin_index(bin_start)) is not None:
+        column = risk.levels[bi :: len(space.bins)]
+        try:
+            bad = bytes(column).translate(None, b"\0\1\2\3")
+        except (TypeError, ValueError):  # not an int, or outside 0..255
+            bad = True
+        if bad:
+            cell, v = next((c, v) for c, v in zip(space.cells, column) if not (isinstance(v, int) and 0 <= v <= 3))
+            raise ValueError(f"risk level {v!r} at cell {cell!r}, bin {space.bins[bi]} is not an int in 0..3")
+        level = dict(compress(zip(space.cells, column), column))  # the non-zero cells only
+
+    tx, ty = dest
+    h = abs(origin[0] - tx) + abs(origin[1] - ty)
+    start = (h, h, (origin,))
     best = {origin: start}  # the one live label per cell; others are stale
     heap = [start]
     while True:
         label = heapq.heappop(heap)
-        cost, hops, path = label
+        f, g, path = label
         x, y = cell = path[-1]
         if cell == dest:
             return list(path)
         if best[cell] is not label:
             continue
+        h = abs(x - tx) + abs(y - ty)
         for n in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
             if not (0 <= n[0] < width and 0 <= n[1] < height):
                 continue
+            dh = abs(n[0] - tx) + abs(n[1] - ty) - h
             seen = best.get(n)
-            if seen is not None and seen[0] <= cost:
-                continue  # a step costs at least 1: n cannot improve, so skip pricing it
-            cand = (cost + 1 + RISK_WEIGHT * risk.level_at(n, bin_start), hops + 1, path + (n,))
+            if seen is not None and seen[0] <= f + dh:
+                continue  # seen's cost is at most ours and a step costs at least 1
+            cand = (f + dh + 1 + RISK_WEIGHT * level.get(n, 0), g + dh + 1, path + (n,))
             if seen is None or cand < seen:
                 best[n] = cand
                 heapq.heappush(heap, cand)

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epitrace.authority import RiskMap
 from epitrace.pds import CoarsenedVisit
@@ -167,6 +169,68 @@ def dijkstra_cost(width, height, origin, dest, risk, bin_start, risk_weight=10):
     return dist.get(dest, float("inf"))
 
 
+def dijkstra_route(width, height, origin, dest, risk, bin_start, risk_weight=10):
+    """Reference path: the label-setting Dijkstra that safer_route ran before
+    its A* search, with the same (cost, hops, path) tie-break."""
+    start = (0, 0, (origin,))
+    best = {origin: start}
+    heap = [start]
+    while True:
+        label = heapq.heappop(heap)
+        cost, hops, path = label
+        x, y = cell = path[-1]
+        if cell == dest:
+            return list(path)
+        if best[cell] is not label:
+            continue
+        for n in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
+            if not (0 <= n[0] < width and 0 <= n[1] < height):
+                continue
+            seen = best.get(n)
+            if seen is not None and seen[0] <= cost:
+                continue
+            cand = (cost + 1 + risk_weight * risk.level_at(n, bin_start), hops + 1, path + (n,))
+            if seen is None or cand < seen:
+                best[n] = cand
+                heapq.heappush(heap, cand)
+
+
+@st.composite
+def route_cases(draw):
+    """A grid up to 20x20 and a risk map whose space may lack lattice cells,
+    hold cells off the lattice, and span several bins with gaps between
+    them; bin_start lies at a bin start, inside a bin or outside every bin."""
+    w, h = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    rng = draw(st.randoms(use_true_random=False))
+    lattice = [(x, y) for x in range(w) for y in range(h)]
+    missing = set(rng.sample(lattice, draw(st.integers(0, len(lattice) // 4))))
+    extra = [(-1, 0), (w, h - 1), (0, 99), (w + 5, -3)][: draw(st.integers(0, 4))]
+    cells = [c for c in lattice if c not in missing] + extra
+    rng.shuffle(cells)
+
+    bin_seconds = 3600
+    bins = [draw(st.integers(-2, 2)) * bin_seconds]
+    for _ in range(draw(st.integers(0, 3))):
+        bins.append(bins[-1] + bin_seconds * draw(st.integers(1, 3)))  # gaps when > 1
+    k = draw(st.integers(0, len(bins) - 1))
+    bin_start = draw(
+        st.sampled_from(
+            [
+                bins[k],  # a bin start
+                bins[k] + draw(st.integers(1, bin_seconds - 1)),  # inside a bin
+                bins[0] - draw(st.integers(1, 10 * bin_seconds)),  # before every bin
+                bins[-1] + bin_seconds + draw(st.integers(0, 10 * bin_seconds)),  # after every bin
+            ]
+        )
+    )
+    share = draw(st.sampled_from([0.0, 0.02, 0.2, 0.6, 1.0]))  # sparse to dense
+    levels = tuple(rng.randint(1, 3) if rng.random() < share else 0 for _ in range(len(cells) * len(bins)))
+    risk = RiskMap(CellIndexSpace(tuple(cells), tuple(bins), bin_seconds), levels)
+    origin = (draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)))
+    dest = (draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)))
+    return w, h, origin, dest, risk, bin_start
+
+
 class TestSaferRoute:
     def test_zero_risk_is_manhattan(self):
         risk = grid_risk(5, 5, {})
@@ -259,6 +323,32 @@ class TestSaferRoute:
         pairs += [((rng.randrange(20), rng.randrange(20)), (rng.randrange(20), rng.randrange(20))) for _ in range(300)]
         for origin, dest in pairs:
             assert safer_route(20, 20, origin, dest, risk, 0) == closed_form(origin, dest), (origin, dest)
+
+    @settings(deadline=None)
+    @given(route_cases())
+    def test_same_path_as_dijkstra(self, case):
+        assert safer_route(*case) == dijkstra_route(*case)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 256, -300, 1.5, 2.0, "a", None])
+    def test_level_outside_0_to_3_rejected(self, bad):
+        # a level below 0 made a step cost less than 1; the search relied
+        # on at least 1 and never returned
+        risk = grid_risk(2, 2, {(0, 0): 1, (1, 0): bad})
+        with pytest.raises(ValueError, match=rf"risk level {bad!r} at cell \(1, 0\)"):
+            safer_route(2, 2, (0, 0), (1, 1), risk, 0)
+
+    def test_every_level_negative_rejected(self):
+        risk = grid_risk(2, 2, {c: -1 for c in itertools.product(range(2), repeat=2)})
+        with pytest.raises(ValueError, match="not an int in 0..3"):
+            safer_route(2, 2, (0, 0), (1, 1), risk, 0)
+
+    def test_only_the_routed_bin_is_checked(self):
+        cells = ((0, 0), (0, 1), (1, 0), (1, 1))
+        risk = RiskMap(CellIndexSpace(cells, (0, 3600)), (0, -1, 3, 7, 0, 0, 0, 0))
+        assert safer_route(2, 2, (0, 0), (1, 1), risk, 0) == [(0, 0), (1, 0), (1, 1)]
+        assert safer_route(2, 2, (0, 0), (1, 1), risk, 99999) == [(0, 0), (0, 1), (1, 1)]
+        with pytest.raises(ValueError, match=r"risk level -1 at cell \(0, 0\), bin 3600"):
+            safer_route(2, 2, (0, 0), (1, 1), risk, 3600)
 
 
 class TestScoreMonotonicity:
