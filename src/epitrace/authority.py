@@ -17,8 +17,8 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
-from operator import gt, le
+from itertools import compress, islice, repeat
+from operator import add, gt, le
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -264,13 +264,15 @@ def export_risk_csv(rmap: RiskMap, path: str | Path) -> None:
 
 
 def _write_dense_csv(space: CellIndexSpace, values: Sequence[int], column: str, path: str | Path) -> None:
-    """One row per entry of a dense vector over ``space``, in index order."""
-    lines = [f"cell_x,cell_y,bin_start,{column}"]
-    for idx, value in enumerate(values):
-        cell, bin_start = space.coordinate(idx)
-        x, y = _cell_xy(cell)
-        lines.append(f"{x},{y},{bin_start},{value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per entry of a dense vector over ``space``, in index order,
+    written one cell's block of rows at a time so memory never holds the file."""
+    bin_parts = [f",{b}," for b in space.bins]
+    rest = iter(values)
+    with open(path, "w") as out:  # the text-mode defaults of Path.write_text
+        out.write(f"cell_x,cell_y,bin_start,{column}\n")
+        for x, y in map(_cell_xy, space.cells if bin_parts else ()):
+            tails = map(add, bin_parts, map(format, islice(rest, len(bin_parts))))  # ",bin_start,value"
+            out.write(f"{x},{y}" + f"\n{x},{y}".join(tails) + "\n")
 
 
 def hotspots_to_json(hotspots: Sequence[Hotspot]) -> str:

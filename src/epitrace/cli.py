@@ -18,6 +18,7 @@ from .contact_store import ContactStore, EncounterRecord
 from .crypto_ids import DailySeed, EscrowTable, derive_epoch_id, derive_next_seed, report_from_seeds
 from .pds import CellLabelMap, Granularity, LocationPoint, SpatialLevel, coarsen
 from .secure_agg import (
+    PARTICIPANT_BOUND,
     CellIndexSpace,
     ContributionVector,
     aggregate,
@@ -191,8 +192,9 @@ def cmd_trace_demo(args) -> int:
 
 
 def cmd_aggregate_demo(args) -> int:
-    if args.participants < 1 or args.dimension < 1:
-        print("need participants >= 1 and dimension >= 1", file=sys.stderr)
+    # a round at the bound is rejected here, before its N(N-1)/2 pairwise seeds are built
+    if not 1 <= args.participants < PARTICIPANT_BOUND or args.dimension < 1:
+        print(f"need 1 <= --participants < {PARTICIPANT_BOUND} and --dimension >= 1", file=sys.stderr)
         return EXIT_USAGE
     rng = random.Random(args.seed)
     n, d = args.participants, args.dimension

@@ -102,6 +102,8 @@ class CellIndexSpace:
         return self.index_of(cell, bin_start) if bin_start in self._bin_position else None
 
     def coordinate(self, flat_index: int) -> tuple[Cell, int]:
+        if not 0 <= flat_index < self.dimension:
+            raise IndexError(f"flat index {flat_index} outside 0..{self.dimension - 1}")
         ci, bi = divmod(flat_index, len(self.bins))
         return self.cells[ci], self.bins[bi]
 

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -13,6 +14,7 @@ from epitrace.authority import (
     Hotspot,
     LocationStore,
     PublicBoard,
+    RiskMap,
     WrongPurpose,
     detect_hotspots,
     export_density_csv,
@@ -305,6 +307,85 @@ class TestExports:
         spots = detect_hotspots(dmap)
         rows = json.loads(hotspots_to_json(spots))
         assert rows == [{"cell": [2, 3], "bin_start": 0, "infected_count": 8, "ratio": None}]
+
+
+# -- dense CSV exports vs. the per-entry reference writer ----------------------
+
+
+def ref_write_dense_csv(space, values, column, path):
+    """The per-entry writer: one coordinate lookup and one f-string per row,
+    the whole file built in memory."""
+    lines = [f"cell_x,cell_y,bin_start,{column}"]
+    for idx, value in enumerate(values):
+        cell, bin_start = space.coordinate(idx)
+        x, y = cell if isinstance(cell, tuple) and len(cell) == 2 else (cell, "")
+        lines.append(f"{x},{y},{bin_start},{value}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def random_cells(rng, kind, n):
+    """n distinct cells of one kind; the str cells carry commas, braces and
+    non-ASCII text, which a template-based formatter would get wrong."""
+    make = {
+        "grid": lambda: (rng.randrange(-5, 60), rng.randrange(60)),
+        "int": lambda: rng.randrange(-(10**12), 10**12),
+        "str": lambda: rng.choice(("cell", "z{0}", "a,b", "é", "{}", "%s")) + str(rng.randrange(10**6)),
+        "triple": lambda: (rng.randrange(9), rng.randrange(9), rng.randrange(9)),
+    }[kind]
+    cells = []
+    while len(cells) < n:
+        if (cell := make()) not in cells:
+            cells.append(cell)
+    return tuple(cells)
+
+
+def random_export_spaces(rng):
+    for kind in ("grid", "int", "str", "triple"):
+        for n_cells, n_bins in ((0, 3), (4, 0), (0, 0), (1, 1), (1, 7), (rng.randrange(2, 30), rng.randrange(2, 50))):
+            start = rng.randrange(-86400, 86400)
+            yield CellIndexSpace(random_cells(rng, kind, n_cells), tuple(start + 3600 * b for b in range(n_bins)), 3600)
+
+
+class TestDenseExportBytes:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bytes_as_reference(self, seed, tmp_path):
+        rng = random.Random(seed)
+        ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+        for space in random_export_spaces(rng):
+            for top in (3, 4, 255, 70000, 2**40):  # counts above a byte too
+                values = tuple(rng.choice((0, 0, rng.randrange(top + 1))) for _ in range(space.dimension))
+                rmap = RiskMap(space, values)
+                export_risk_csv(rmap, new)
+                ref_write_dense_csv(space, rmap.levels, "level", ref)
+                assert new.read_bytes() == ref.read_bytes()
+                dmap = DensityMap(space, values)
+                export_density_csv(dmap, new)
+                ref_write_dense_csv(space, dmap.published_counts(), "count", ref)
+                assert new.read_bytes() == ref.read_bytes()
+
+    def test_empty_space_writes_header_only(self, tmp_path):
+        path = tmp_path / "risk.csv"
+        for space in (CellIndexSpace((), (0, 3600)), CellIndexSpace(((0, 0), (0, 1)), ())):
+            export_risk_csv(RiskMap(space, ()), path)
+            assert path.read_bytes() == b"cell_x,cell_y,bin_start,level\n"
+
+    def test_protocol_ops_sized_map(self, tmp_path):
+        rng = random.Random(7)
+        space = CellIndexSpace(tuple((x, y) for x in range(20) for y in range(20)), tuple(range(0, 672 * 3600, 3600)))
+        rmap = RiskMap(space, tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(space.dimension)))
+        ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+        ref_write_dense_csv(space, rmap.levels, "level", ref)
+        export_risk_csv(rmap, new)
+        assert new.read_bytes() == ref.read_bytes()
+        # memory holds one cell's block of 672 rows, about 10 kB; the whole
+        # file built in memory peaks near 26 MB
+        tracemalloc.start()
+        try:
+            export_risk_csv(rmap, new)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestChannelSeparation:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from epitrace import cli
 from epitrace.cli import EXIT_OK, EXIT_USAGE, main
+from epitrace.secure_agg import PARTICIPANT_BOUND
 
 MINIMAL_CONFIG = {
     "n_agents": 60,
@@ -159,6 +161,16 @@ class TestAggregateDemo:
 
     def test_zero_participants_rejected(self, capsys):
         assert main(["aggregate-demo", "--participants", "0", "--dimension", "2"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("n", [PARTICIPANT_BOUND, PARTICIPANT_BOUND + 1])
+    def test_participants_at_bound_rejected_up_front(self, n, monkeypatch, capsys):
+        def no_seeds(*args):
+            raise AssertionError("pairwise seeds built for a round that must be rejected")
+
+        monkeypatch.setattr(cli, "make_pairwise_seeds", no_seeds)
+        assert main(["aggregate-demo", "--participants", str(n), "--dimension", "2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--participants" in err and str(PARTICIPANT_BOUND) in err
 
     def test_writes_artifact(self, tmp_path, capsys):
         out = tmp_path / "agg"

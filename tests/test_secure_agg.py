@@ -208,6 +208,17 @@ class TestCellIndexSpace:
             cell, bin_start = space.coordinate(idx)
             assert space.index_of(cell, bin_start) == idx
 
+    @pytest.mark.parametrize("idx", [-1, -4, 4, 5])
+    def test_coordinate_outside_space_rejected(self, idx):
+        # a negative index must not wrap round to the end of the space
+        space = CellIndexSpace(((0, 0), (1, 0)), (0, 3600), bin_seconds=3600)
+        with pytest.raises(IndexError):
+            space.coordinate(idx)
+
+    def test_coordinate_of_empty_space_rejected(self):
+        with pytest.raises(IndexError):
+            CellIndexSpace(("a",), ()).coordinate(0)
+
     def test_bin_bucketing(self):
         space = CellIndexSpace(("a",), (0, 3600, 10800), bin_seconds=3600)
         assert space.bin_index(0) == 0
