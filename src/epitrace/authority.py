@@ -20,11 +20,11 @@ from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import add, gt, le
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .contact_store import RETENTION_DAYS
 from .crypto_ids import EscrowTable, ExposureReport, report_id_set
-from .pds import Purpose, SharePayload
+from .pds import Purpose, SharePayload, _slot_setters
 from .secure_agg import MASK_MODULUS, Cell, CellIndexSpace
 
 K_ANON = 5  # published counts below this are suppressed to zero
@@ -141,7 +141,8 @@ class DensityMap:
     """Spatio-temporal visit counts by confirmed positives.
 
     ``infected_counts`` holds the true internal values; anything published
-    goes through ``published_counts``, which suppresses counts below ``K_ANON``.
+    goes through ``published_counts`` (or ``_published``, the same counts one
+    at a time), which suppresses counts below ``K_ANON``.
     """
 
     space: CellIndexSpace
@@ -158,7 +159,10 @@ class DensityMap:
                 raise ValueError("infected count exceeds baseline")
 
     def published_counts(self) -> list[int]:
-        return [c if c >= K_ANON else 0 for c in self.infected_counts]
+        return list(self._published())
+
+    def _published(self) -> Iterator[int]:
+        return (c if c >= K_ANON else 0 for c in self.infected_counts)
 
     @cached_property
     def unsuppressed(self) -> tuple[int, ...]:
@@ -175,12 +179,21 @@ class DensityMap:
         return tuple(m.start() for m in re.finditer(b"\x01", flags))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Hotspot:
     cell: Cell
     bin_start: int
     infected_count: int
     ratio: float  # infected/baseline; math.inf when the map has no baseline
+
+    def __init__(self, cell: Cell, bin_start: int, infected_count: int, ratio: float) -> None:
+        _set_cell(self, cell)
+        _set_bin_start(self, bin_start)
+        _set_infected_count(self, infected_count)
+        _set_ratio(self, ratio)
+
+
+_set_cell, _set_bin_start, _set_infected_count, _set_ratio = _slot_setters(Hotspot)
 
 
 @dataclass(frozen=True)
@@ -256,14 +269,14 @@ def publish_risk_map(dmap: DensityMap, hotspots: Sequence[Hotspot]) -> RiskMap:
 
 def export_density_csv(dmap: DensityMap, path: str | Path) -> None:
     """Published (suppressed) view only; grid cells as x,y columns."""
-    _write_dense_csv(dmap.space, dmap.published_counts(), "count", path)
+    _write_dense_csv(dmap.space, dmap._published(), "count", path)
 
 
 def export_risk_csv(rmap: RiskMap, path: str | Path) -> None:
     _write_dense_csv(rmap.space, rmap.levels, "level", path)
 
 
-def _write_dense_csv(space: CellIndexSpace, values: Sequence[int], column: str, path: str | Path) -> None:
+def _write_dense_csv(space: CellIndexSpace, values: Iterable[int], column: str, path: str | Path) -> None:
     """One row per entry of a dense vector over ``space``, in index order,
     written one cell's block of rows at a time so memory never holds the file."""
     bin_parts = [f",{b}," for b in space.bins]

@@ -17,12 +17,12 @@ import random
 import secrets
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from functools import partial
-from operator import le
+from itertools import compress, repeat
+from operator import attrgetter, le, ne, sub, truediv
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .contact_store import ContactStore
 
@@ -69,19 +69,33 @@ class SpatialLevel(Enum):
     MUNICIPALITY = "municipality"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LocationPoint:
     lat: float
     lon: float
     t: int
 
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"lat {self.lat} outside [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"lon {self.lon} outside [-180, 180]")
-        if type(self.t) is not int or not -_T_LIMIT <= self.t < _T_LIMIT:
-            raise ValueError(f"t {self.t!r} is not an int in signed 64-bit range")
+    def __init__(self, lat: float, lon: float, t: int) -> None:
+        if not -90.0 <= lat <= 90.0:
+            raise ValueError(f"lat {lat} outside [-90, 90]")
+        if not -180.0 <= lon <= 180.0:
+            raise ValueError(f"lon {lon} outside [-180, 180]")
+        if type(t) is not int or not -_T_LIMIT <= t < _T_LIMIT:
+            raise ValueError(f"t {t!r} is not an int in signed 64-bit range")
+        _set_lat(self, lat)
+        _set_lon(self, lon)
+        _set_t(self, t)
+
+
+def _slot_setters(cls) -> list:
+    """The ``__set__`` of each field's member descriptor, in field order.  A
+    frozen slotted dataclass's hand-written ``__init__`` runs its checks,
+    then writes its slots through these, at a fraction of the cost of the
+    generated ``__init__``'s ``object.__setattr__`` per field."""
+    return [getattr(cls, f.name).__set__ for f in fields(cls)]
+
+
+_set_lat, _set_lon, _set_t = _slot_setters(LocationPoint)
 
 
 @dataclass(frozen=True)
@@ -128,7 +142,7 @@ class Granularity:
         return {"spatial": self.spatial.value, "cell_deg": self.cell_deg, "bin_minutes": self.bin_minutes}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CoarsenedVisit:
     """A dwell in one (cell, time bin) at the chosen granularity."""
 
@@ -136,9 +150,15 @@ class CoarsenedVisit:
     bin_start: int
     dwell_min: int
 
-    def __post_init__(self) -> None:
-        if self.dwell_min < 1:
+    def __init__(self, cell: object, bin_start: int, dwell_min: int) -> None:
+        if dwell_min < 1:
             raise ValueError("dwell_min must be >= 1")
+        _set_cell(self, cell)
+        _set_bin_start(self, bin_start)
+        _set_dwell_min(self, dwell_min)
+
+
+_set_cell, _set_bin_start, _set_dwell_min = _slot_setters(CoarsenedVisit)
 
 
 @dataclass
@@ -209,52 +229,39 @@ def coarsen(
     visit whose dwell is the ceiling of the merged time span in minutes
     (minimum one minute for a lone fix).
     """
-    return _coarsen_fixes(((p.t, p.lat, p.lon) for p in traj), g, poi_map, muni_map)
+    return _coarsen_columns([p.t for p in traj], [p.lat for p in traj], [p.lon for p in traj], g, poi_map, muni_map)
 
 
-def _coarsen_fixes(
-    fixes: Iterable[tuple[int, float, float]], g: Granularity, poi_map, muni_map
+def _coarsen_columns(
+    ts: Sequence[int], lats: Sequence[float], lons: Sequence[float], g: Granularity, poi_map, muni_map
 ) -> list[CoarsenedVisit]:
-    """``coarsen`` over time-sorted (t, lat, lon) fixes."""
+    """``coarsen`` over the columns of time-sorted fixes: the (cell, bin)
+    keys of all fixes are computed column by column, then one visit per run."""
     if g.spatial is SpatialLevel.EXACT_POINT:
-        cell_of = _exact_point
+        cells = zip(lats, lons)
     elif g.spatial is SpatialLevel.GRID:
-        cell_of = partial(grid_cell, cell_deg=g.cell_deg)
+        d = g.cell_deg
+        cells = [(math.floor(lat / d), math.floor(lon / d)) for lat, lon in zip(lats, lons)]  # as grid_cell
     elif g.spatial is SpatialLevel.POI:
         if poi_map is None:
             raise MissingMap("POI granularity requires a poi_map")
-        cell_of = poi_map.label_for
+        cells = map(poi_map.label_for, lats, lons)
     else:
         if muni_map is None:
             raise MissingMap("municipality granularity requires a muni_map")
-        cell_of = muni_map.label_for
+        cells = map(muni_map.label_for, lats, lons)
 
-    bin_seconds = g.bin_minutes * 60
-    visits: list[CoarsenedVisit] = []
-    run_key: tuple | None = None
-    run_start = run_end = 0
-    for t, lat, lon in fixes:
-        key = (cell_of(lat, lon), (t // bin_seconds) * bin_seconds)
-        if key == run_key:
-            run_end = t
-            continue
-        if run_key is not None:
-            visits.append(_close_run(run_key, run_start, run_end))
-        run_key, run_start, run_end = key, t, t
-    if run_key is not None:
-        visits.append(_close_run(run_key, run_start, run_end))
-    visits.sort(key=lambda v: v.bin_start)
+    w = g.bin_minutes * 60
+    keys = list(zip(cells, [t // w * w for t in ts]))
+    # a run of equal keys starts at the first fix and after each key change,
+    # and ends at the last fix and before each change
+    changes = list(map(ne, keys[1:], keys))
+    spans = map(sub, compress(ts, [*changes, True]), compress(ts, [True, *changes]))
+    # max(1, ceil(span / 60)): a lone fix, or a run given out of time order, dwells 1 minute
+    dwells = [d if d > 0 else 1 for d in map(math.ceil, map(truediv, spans, repeat(60)))]
+    visits = [CoarsenedVisit(cell, b, dwell) for (cell, b), dwell in zip(compress(keys, [True, *changes]), dwells)]
+    visits.sort(key=attrgetter("bin_start"))
     return visits
-
-
-def _exact_point(lat: float, lon: float) -> tuple[float, float]:
-    return (lat, lon)
-
-
-def _close_run(key: tuple, start: int, end: int) -> CoarsenedVisit:
-    cell, bin_start = key
-    dwell = max(1, math.ceil((end - start) / 60))
-    return CoarsenedVisit(cell, bin_start, dwell)
 
 
 def minimum_granularity(purpose: Purpose) -> Granularity | None:
@@ -303,10 +310,15 @@ class PersonalDataStore:
         if self._stopped:
             raise TrackingStopped("location collection has been stopped")
         ts, t = self._t, p.t
-        i = bisect_right(ts, t) if ts and t < ts[-1] else len(ts)
-        ts.insert(i, t)
-        self._lat.insert(i, p.lat)
-        self._lon.insert(i, p.lon)
+        if ts and t < ts[-1]:  # out of order: goes after the fixes with an equal t
+            i = bisect_right(ts, t)
+            ts.insert(i, t)
+            self._lat.insert(i, p.lat)
+            self._lon.insert(i, p.lon)
+        else:
+            ts.append(t)
+            self._lat.append(p.lat)
+            self._lon.append(p.lon)
         if self._retention_days is not None and ts[0] < ts[-1] - self._retention_days * 86400:
             self._prune()
 
@@ -367,7 +379,7 @@ class PersonalDataStore:
         lo, hi = 0, len(ts)
         if window is not None:
             lo, hi = bisect_left(ts, window[0] * 86400), bisect_left(ts, (window[1] + 1) * 86400)
-        return _coarsen_fixes(zip(ts[lo:hi], self._lat[lo:hi], self._lon[lo:hi]), g, poi_map, muni_map)
+        return _coarsen_columns(ts[lo:hi], self._lat[lo:hi], self._lon[lo:hi], g, poi_map, muni_map)
 
     def build_share_payload(
         self,

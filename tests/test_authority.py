@@ -373,19 +373,25 @@ class TestDenseExportBytes:
         rng = random.Random(7)
         space = CellIndexSpace(tuple((x, y) for x in range(20) for y in range(20)), tuple(range(0, 672 * 3600, 3600)))
         rmap = RiskMap(space, tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(space.dimension)))
+        dmap = DensityMap(space, tuple(rng.choice((0, 0, 0, 1, 4, 5, 9, 300)) for _ in range(space.dimension)))
         ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
-        ref_write_dense_csv(space, rmap.levels, "level", ref)
-        export_risk_csv(rmap, new)
-        assert new.read_bytes() == ref.read_bytes()
-        # memory holds one cell's block of 672 rows, about 10 kB; the whole
-        # file built in memory peaks near 26 MB
-        tracemalloc.start()
-        try:
-            export_risk_csv(rmap, new)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+        for export, exported, values, column in (
+            (export_risk_csv, rmap, rmap.levels, "level"),
+            (export_density_csv, dmap, dmap.published_counts(), "count"),
+        ):
+            ref_write_dense_csv(space, values, column, ref)
+            export(exported, new)
+            assert new.read_bytes() == ref.read_bytes()
+            # memory holds one cell's block of 672 rows, about 10 kB; the whole
+            # file built in memory peaks near 26 MB, and a list of every
+            # published count alone takes 2.1 MB
+            tracemalloc.start()
+            try:
+                export(exported, new)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000
 
 
 class TestChannelSeparation:

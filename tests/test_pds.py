@@ -1,7 +1,10 @@
 """Personal data store: collection, coarsening, policy, consent, erasure."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -9,10 +12,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from epitrace.authority import Hotspot
 from epitrace.contact_store import ContactStore, EncounterRecord
 from epitrace.crypto_ids import epoch_ids
 from epitrace.pds import (
+    BIN_MINUTES,
+    GRID_CELL_DEGREES,
     CellLabelMap,
+    CoarsenedVisit,
     ConsentMissing,
     EraseScope,
     Granularity,
@@ -556,3 +563,144 @@ class TestBulkAppend:
         with pytest.raises(TrackingStopped):
             pds.append_locations([1], [0.0], [0.0])
         assert snapshot_text(pds, tmp_path) == before
+
+
+# -- the hand-written value-object constructors ----------------------------------
+
+VALUE_OBJECTS = [
+    (LocationPoint, (43.72, -10.4, 1_700_000_000)),
+    (CoarsenedVisit, ((4372, 1040), 3600, 40)),
+    (CoarsenedVisit, ("poi:cafe", -86400, 1)),
+    (Hotspot, ((3, 4), 7200, 9, 0.25)),
+    (Hotspot, ("area:1:2", 0, 5, math.inf)),
+]
+
+
+@pytest.mark.parametrize("cls, values", VALUE_OBJECTS, ids=lambda v: getattr(v, "__name__", None))
+class TestValueObjects:
+    """Each class writes its slots from a hand-written ``__init__``; the rest
+    of what a frozen dataclass promises must hold as for a generated one."""
+
+    def test_equal_and_hashed_as_its_field_tuple(self, cls, values):
+        obj = cls(*values)
+        assert dataclasses.astuple(obj) == values
+        assert obj == cls(*values) and hash(obj) == hash(cls(*values)) == hash(values)
+        assert {obj: 1}[cls(*values)] == 1
+        assert obj != cls(values[0], values[1] + 60, *values[2:])
+
+    def test_repr_and_frozen(self, cls, values):
+        obj = cls(*values)
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert repr(obj) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+        assert not hasattr(obj, "__dict__")
+
+    def test_replace_match_args_keywords_pickle_and_deepcopy(self, cls, values):
+        obj = cls(*values)
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        assert cls.__match_args__ == names
+        assert cls(**dict(zip(names, values))) == obj
+        assert dataclasses.replace(obj, **{names[1]: values[1] + 60}) == cls(values[0], values[1] + 60, *values[2:])
+        match obj:  # positional class patterns read __match_args__
+            case LocationPoint(lat, lon, t) | CoarsenedVisit(lat, lon, t) | Hotspot(lat, lon, t, _):
+                assert (lat, lon, t) == values[:3]
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert type(twin) is cls and twin == obj
+
+
+VALID_FIELDS = {
+    LocationPoint: {"lat": 0.0, "lon": 0.0, "t": 0},
+    CoarsenedVisit: {"cell": (0, 0), "bin_start": 0, "dwell_min": 1},
+}
+INVALID_VALUES = [
+    *[(LocationPoint, "lat", v, "^lat ") for v in (math.nan, 90.5, -91.0, -math.inf)],
+    *[(LocationPoint, "lon", v, "^lon ") for v in (math.nan, 180.5, -181.0, math.inf)],
+    *[(LocationPoint, "t", v, "^t ") for v in (True, 1.0, 2**63, -(2**63) - 1)],
+    *[(CoarsenedVisit, "dwell_min", v, "^dwell_min must be >= 1") for v in (0, -5)],
+]
+
+
+@pytest.mark.parametrize("cls, field, value, message", INVALID_VALUES)
+def test_every_check_runs_on_every_construction(cls, field, value, message):
+    fields = {**VALID_FIELDS[cls], field: value}
+    with pytest.raises(ValueError, match=message):
+        cls(*fields.values())
+    with pytest.raises(ValueError, match=message):
+        cls(**fields)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(cls(**VALID_FIELDS[cls]), **{field: value})
+
+
+# -- column-wise coarsening against the per-fix oracle ----------------------------
+
+ORACLE_POI = CellLabelMap({(0, 0): "cafe", (1, 1): "park"}, cell_deg=0.01, fallback_prefix="poi")
+ORACLE_MUNI = CellLabelMap({(0, 0): "pisa"}, cell_deg=0.1)
+EVERY_GRANULARITY = [
+    Granularity(level, cell_deg, bin_minutes)
+    for level, cell_degs in (
+        (SpatialLevel.EXACT_POINT, (None,)),
+        (SpatialLevel.GRID, GRID_CELL_DEGREES),
+        (SpatialLevel.POI, (None,)),
+        (SpatialLevel.MUNICIPALITY, (None,)),
+    )
+    for cell_deg in cell_degs
+    for bin_minutes in BIN_MINUTES
+]
+
+
+def oracle_cell_of(g):
+    return {
+        SpatialLevel.EXACT_POINT: lambda lat, lon: (lat, lon),
+        SpatialLevel.GRID: lambda lat, lon: grid_cell(lat, lon, g.cell_deg),
+        SpatialLevel.POI: ORACLE_POI.label_for,
+        SpatialLevel.MUNICIPALITY: ORACLE_MUNI.label_for,
+    }[g.spatial]
+
+
+# a few days around 0, with instants on and next to bin edges so that fixes
+# share a t, a cell or a run; coordinates on and next to cell edges
+fix_times = st.builds(
+    lambda day, second: day * 86400 + second,
+    st.integers(-1, 2),
+    st.sampled_from([0, 1, 59, 60, 61, 899, 900, 3599, 3600, 43200, 86399]) | st.integers(0, 86399),
+)
+fix_coords = st.sampled_from([0.0, 0.0005, 0.001, 0.0099, 0.01, 0.05, 0.1, -0.0005, -0.01]) | st.floats(-0.3, 0.3)
+fixes = st.lists(st.tuples(fix_coords, fix_coords, fix_times), max_size=40)
+
+
+def as_tuples(visits):
+    return [(v.cell, v.bin_start, v.dwell_min) for v in visits]
+
+
+class TestColumnCoarsening:
+    @given(fixes, st.sampled_from(EVERY_GRANULARITY))
+    def test_coarsen_matches_the_oracle_in_any_order(self, fixes, g):
+        points = [LocationPoint(*f) for f in fixes]
+        got = as_tuples(coarsen(points, g, ORACLE_POI, ORACLE_MUNI))
+        assert got == brute_force_visits(points, g, oracle_cell_of(g))
+
+    @given(fixes, st.sampled_from(EVERY_GRANULARITY), st.integers(-2, 3), st.integers(-2, 3))
+    def test_store_window_matches_the_oracle(self, fixes, g, first_day, last_day):
+        """Windows may be empty (last_day < first_day, or no fix inside) and
+        may start or end inside a run of fixes in one cell."""
+        pds = make_pds()
+        for f in fixes:
+            pds.append_location(LocationPoint(*f))
+        stored = sorted((LocationPoint(*f) for f in fixes), key=lambda p: p.t)  # stable: ties keep arrival order
+        inside = [p for p in stored if first_day * 86400 <= p.t < (last_day + 1) * 86400]
+        got = as_tuples(pds.coarsened(g, (first_day, last_day), ORACLE_POI, ORACLE_MUNI))
+        assert got == brute_force_visits(inside, g, oracle_cell_of(g))
+        assert as_tuples(pds.coarsened(g, None, ORACLE_POI, ORACLE_MUNI)) == brute_force_visits(
+            stored, g, oracle_cell_of(g)
+        )
+
+    @given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.integers(0, 6)), max_size=60))
+    def test_appends_in_any_order_keep_a_stable_sort(self, fixes):
+        """An in-order fix is appended, an out-of-order one inserted; either
+        way a fix with an equal t goes after the fixes already stored."""
+        pds = make_pds()
+        for f in fixes:
+            pds.append_location(LocationPoint(*f))
+        assert pds._points == sorted((LocationPoint(*f) for f in fixes), key=lambda p: p.t)  # noqa: SLF001
