@@ -253,8 +253,8 @@ def aggregate(shares: Sequence[MaskedShare], n: int, dimension: int) -> list[int
     if len(shares) != n:
         raise WrongShareCount(f"expected {n} shares, got {len(shares)}")
     participants = {s.participant for s in shares}
-    if len(participants) != n:
-        raise WrongShareCount("duplicate participant indices in share set")
+    if participants != set(range(n)):
+        raise WrongShareCount(f"share set is not the announced cohort 0..{n - 1}")
     for s in shares:
         if len(s.values) != dimension:
             raise DimensionMismatch(

@@ -216,6 +216,13 @@ class InfectionEvent:
     cell: tuple[int, int]
     generation: int
 
+    def __str__(self) -> str:
+        infector = "-" if self.infector is None else self.infector
+        return (
+            f"INFECT epoch={self.epoch} channel={self.channel} infectee={self.infectee} "
+            f"infector={infector} cell={self.cell[0]},{self.cell[1]} generation={self.generation}"
+        )
+
 
 @dataclass(frozen=True)
 class NotifyEvent:
@@ -224,22 +231,22 @@ class NotifyEvent:
     target: int
     disease_at: str  # target's underlying disease state when notified
 
+    def __str__(self) -> str:
+        return f"NOTIFY epoch={self.epoch} source={self.source} target={self.target} disease={self.disease_at}"
+
 
 @dataclass(frozen=True)
 class TestEvent:
     epoch: int
     agent: int
 
+    def __str__(self) -> str:
+        return f"TEST epoch={self.epoch} agent={self.agent}"
 
-@dataclass
-class DayRow:
-    day: int
-    s: int
-    e: int
-    i: int
-    r: int
-    q: int
-    new_infections: int
+
+def _view(kind: type) -> property:
+    """A read-only view of ``Simulation.events``: its events of one kind, in order."""
+    return property(lambda sim: tuple(e for e in sim.events if isinstance(e, kind)))
 
 
 @dataclass
@@ -325,7 +332,14 @@ class Simulation:
     Timers are bookings on one agenda, ``_due``: epoch -> (agent id, event)
     for "I" (E->I), "R" (I->R), "out" (Q may end) and "test".  Each epoch
     runs every booking's step and release check by (id, event), then tests.
+
+    ``events`` is the run's record: every infection (index cases first),
+    positive test and notification, appended as it happens, so in epoch
+    order and each notification after its source's test.  ``infections``,
+    ``tests`` and ``notifications`` are read-only views of it.
     """
+
+    infections, tests, notifications = _view(InfectionEvent), _view(TestEvent), _view(NotifyEvent)
 
     def __init__(self, cfg: ScenarioConfig) -> None:
         self.cfg = cfg
@@ -348,11 +362,8 @@ class Simulation:
             for y in range(cfg.height)
         ]
 
-        self.infections: list[InfectionEvent] = []
-        self.notifications: list[NotifyEvent] = []
-        self.tests: list[TestEvent] = []
-        self.day_rows: list[DayRow] = []
-        self._new_infections_today = 0
+        self.events: list[InfectionEvent | TestEvent | NotifyEvent] = []
+        self.day_counts: list[list[int]] = []  # S, E, I, R, Q at each day's close
         self._q_epochs = 0
         self._n_q = 0  # agents in Q now
         self._infectious: set[int] = set()  # agents whose disease is I
@@ -418,7 +429,7 @@ class Simulation:
             self._infectious.add(aid)
             self._book(self.rng.expovariate(1.0 / self.cfg.i_mean_days) * EPOCHS_PER_DAY, aid, "R")
             self._book(self.cfg.test_delay_days * EPOCHS_PER_DAY, aid, "test")
-            self.infections.append(InfectionEvent(0, aid, None, "seed", self.cell_xy(agent.home), 0))
+            self.events.append(InfectionEvent(0, aid, None, "seed", self.cell_xy(agent.home), 0))
 
     # -- the epoch kernel ------------------------------------------------------
 
@@ -559,8 +570,7 @@ class Simulation:
         self._book(self.epoch + self.rng.expovariate(1.0 / self.cfg.e_mean_days) * EPOCHS_PER_DAY, target.id, "I")
         generation = 0 if source is None else source.generation + 1
         target.generation = generation
-        self._new_infections_today += 1
-        self.infections.append(
+        self.events.append(
             InfectionEvent(self.epoch, target.id, source.id if source else None, channel, self.cell_xy(cell), generation)
         )
 
@@ -656,7 +666,7 @@ class Simulation:
         agent.tested = True
         self._quarantine(agent)
         self._movers.add(agent.id)  # its cell's run may be flushed below
-        self.tests.append(TestEvent(self.epoch, agent.id))
+        self.events.append(TestEvent(self.epoch, agent.id))
 
         mode = self.cfg.intervention
         if not (agent.has_app and mode.traces_contacts):
@@ -676,7 +686,7 @@ class Simulation:
             events = peer.store.check_exposure_ids(ids)
             if not events:
                 continue
-            self.notifications.append(NotifyEvent(self.epoch, agent.id, peer.id, peer.disease))
+            self.events.append(NotifyEvent(self.epoch, agent.id, peer.id, peer.disease))
             self._quarantine(peer)
 
         if mode.uploads_location and agent.pds.has_consent(Purpose.LOCATION_UPLOAD):
@@ -712,8 +722,7 @@ class Simulation:
         counts = Counter(agent.state for agent in self.agents)
         seirq = [counts[state] for state in "SEIRQ"]
         assert sum(seirq) == self.cfg.n_agents, "state conservation violated"
-        self.day_rows.append(DayRow(day, *seirq, self._new_infections_today))
-        self._new_infections_today = 0
+        self.day_counts.append(seirq)
 
     # -- results ---------------------------------------------------------------
 
@@ -740,14 +749,14 @@ class Simulation:
     def metrics(self, hotspots: list | None = None) -> SimMetrics:
         """Run metrics; ``hotspots`` reuses a ``detected_hotspots()`` result."""
         cfg = self.cfg
-        infected_ids = {e.infectee for e in self.infections}
-        total_infected = len(infected_ids)
+        infections = self.infections
+        total_infected = len({e.infectee for e in infections})
 
-        members = Counter(e.generation for e in self.infections)
-        caused = Counter(e.generation - 1 for e in self.infections if e.infector is not None)
+        members = Counter(e.generation for e in infections)
+        caused = Counter(e.generation - 1 for e in infections if e.infector is not None)
         r_eff = [caused[g] / members[g] for g in range(max(members, default=-1) + 1) if members[g]]
 
-        transmissions = [e for e in self.infections if e.channel != "seed"]
+        transmissions = [e for e in infections if e.channel != "seed"]
         traced = 0
         notified_by = {}
         for n in self.notifications:
@@ -809,33 +818,22 @@ class Simulation:
         outdir.mkdir(parents=True, exist_ok=True)
         hotspots = self.detected_hotspots()
         metrics = self.metrics(hotspots)
-        self._write_metrics_csv(outdir / "metrics.csv", metrics.r_eff_by_generation)
+        self._write_metrics_csv(outdir / "metrics.csv")
         self._write_events_log(outdir / "events.log")
         export_hotspots_json(hotspots, outdir / "hotspots.json")
         (outdir / "summary.json").write_text(json.dumps(metrics.to_json(), indent=2, sort_keys=True) + "\n")
         return metrics
 
-    def _write_metrics_csv(self, path: Path, r_eff: list[float]) -> None:
+    def _write_metrics_csv(self, path: Path) -> None:
+        # each day's new infections, folded from the stream; index cases are not new
+        new = Counter(e.epoch // EPOCHS_PER_DAY for e in self.infections if e.channel != "seed")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["day", "s", "e", "i", "r", "q", "new_infections", "r_eff_generation"])
-            for row in self.day_rows:
-                gen_val = f"{r_eff[row.day]:.6f}" if row.day < len(r_eff) else ""
-                w.writerow([row.day, row.s, row.e, row.i, row.r, row.q, row.new_infections, gen_val])
+            w.writerow(["day", "s", "e", "i", "r", "q", "new_infections"])
+            w.writerows([day, *seirq, new[day]] for day, seirq in enumerate(self.day_counts))
 
     def _write_events_log(self, path: Path) -> None:
-        lines = []
-        for e in self.infections:
-            infector = e.infector if e.infector is not None else "-"
-            lines.append(
-                f"INFECT epoch={e.epoch} channel={e.channel} infectee={e.infectee} "
-                f"infector={infector} cell={e.cell[0]},{e.cell[1]} generation={e.generation}"
-            )
-        for t in self.tests:
-            lines.append(f"TEST epoch={t.epoch} agent={t.agent}")
-        for n in self.notifications:
-            lines.append(f"NOTIFY epoch={n.epoch} source={n.source} target={n.target} disease={n.disease_at}")
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        Path(path).write_text("".join(f"{e}\n" for e in self.events))
 
 
 def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> SimMetrics:

@@ -154,6 +154,13 @@ class TestAggregation:
         with pytest.raises(WrongShareCount):
             aggregate([shares[0], shares[1], shares[1]], 3, 3)
 
+    @pytest.mark.parametrize("stranger", [3, -1, 6])  # n, -1 and 2n for a 3-participant round
+    def test_share_from_outside_the_cohort_aborts(self, stranger):
+        rng = random.Random(7)
+        _r, _o, shares, _v = run_round(rng, 3, 3)
+        with pytest.raises(WrongShareCount):
+            aggregate([shares[0], shares[1], MaskedShare(stranger, shares[2].values)], 3, 3)
+
     def test_dimension_mismatch_aborts(self):
         rng = random.Random(8)
         _r, _o, shares, _v = run_round(rng, 3, 3)

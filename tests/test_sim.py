@@ -9,6 +9,7 @@ from functools import partial
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 from epitrace.crypto_ids import derive_epoch_id, epoch_ids
 from epitrace.pds import LocationPoint
@@ -74,8 +75,9 @@ WRONG_JSON_TYPES = [
 ]
 
 
-def day_table(sim):
-    return [(r.day, r.s, r.e, r.i, r.r, r.q, r.new_infections) for r in sim.day_rows]
+def run_record(sim):
+    """What a run recorded: each day's closing S/E/I/R/Q counts and its event stream."""
+    return sim.day_counts, sim.events
 
 
 class TestConfigValidation:
@@ -196,7 +198,7 @@ class TestDeterminism:
         sim2 = Simulation(BASE)
         m2 = sim2.run()
         assert m1 == m2
-        assert day_table(sim1) == day_table(sim2)
+        assert run_record(sim1) == run_record(sim2)
         assert sim1.infections == sim2.infections
 
     def test_seed_changes_trajectory(self):
@@ -236,7 +238,8 @@ class TestDegenerateDynamics:
     def test_conservation_holds_every_day(self):
         sim = Simulation(BASE)
         sim.run()  # _close_day asserts S+E+I+R+Q == N
-        assert len(sim.day_rows) == BASE.horizon_days
+        assert len(sim.day_counts) == BASE.horizon_days
+        assert all(sum(seirq) == BASE.n_agents for seirq in sim.day_counts)
 
 
 class TestFomiteMechanics:
@@ -280,7 +283,7 @@ class TestInterventionGating:
         none_sim.run()
         ct_sim = Simulation(replace(BASE, adoption=0.0, intervention=Intervention.CONTACT_TRACING))
         ct_sim.run()
-        assert day_table(none_sim) == day_table(ct_sim)
+        assert run_record(none_sim) == run_record(ct_sim)
         assert none_sim.infections == ct_sim.infections
         assert len(ct_sim.published_reports) == 0
 
@@ -714,7 +717,7 @@ class TestArtifacts:
         for name in ("metrics.csv", "hotspots.json", "events.log", "summary.json"):
             assert (tmp_path / name).exists(), name
         header = (tmp_path / "metrics.csv").read_text().splitlines()[0]
-        assert header == "day,s,e,i,r,q,new_infections,r_eff_generation"
+        assert header == "day,s,e,i,r,q,new_infections"
 
     def test_events_log_is_auditable(self, tmp_path):
         sim = Simulation(BASE)
@@ -739,6 +742,48 @@ class TestArtifacts:
         assert len(density_builds) == 1
         assert metrics == run_scenario(cfg)
         assert json.loads((tmp_path / "summary.json").read_text()) == metrics.to_json()
+
+
+def kind_by_kind_log(sim):
+    """events.log as the writer before the event stream printed it, from the
+    views: every INFECT line, then every TEST line, then every NOTIFY line."""
+    lines = []
+    for e in sim.infections:
+        infector = e.infector if e.infector is not None else "-"
+        lines.append(
+            f"INFECT epoch={e.epoch} channel={e.channel} infectee={e.infectee} "
+            f"infector={infector} cell={e.cell[0]},{e.cell[1]} generation={e.generation}"
+        )
+    for t in sim.tests:
+        lines.append(f"TEST epoch={t.epoch} agent={t.agent}")
+    for n in sim.notifications:
+        lines.append(f"NOTIFY epoch={n.epoch} source={n.source} target={n.target} disease={n.disease_at}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+STREAM_WORLDS = {
+    **{f"golden-{name}": cfg for name, cfg in GOLDEN_CONFIGS.items()},
+    **{f"deferred-{name}": cfg for name, cfg in DEFERRED_WORLDS.items()},
+}
+
+
+class TestEventStream:
+    @pytest.mark.parametrize("world", sorted(STREAM_WORLDS))
+    def test_events_log_is_the_kind_by_kind_log_in_time_order(self, world, tmp_path):
+        sim = Simulation(STREAM_WORLDS[world])
+        sim.run()
+        sim.write_outputs(tmp_path)
+        lines = (tmp_path / "events.log").read_text().splitlines()
+        assert Counter(lines) == Counter(kind_by_kind_log(sim).splitlines())
+        events = [(line.split()[0], dict(f.split("=") for f in line.split()[1:])) for line in lines]
+        epochs = [int(fields["epoch"]) for _kind, fields in events]
+        assert epochs == sorted(epochs)
+        tested = set()
+        for kind, fields in events:
+            if kind == "TEST":
+                tested.add(fields["agent"])
+            elif kind == "NOTIFY":
+                assert fields["source"] in tested, fields
 
 
 class TestSweep:
