@@ -12,13 +12,12 @@ risk map.
 from __future__ import annotations
 
 import json
-import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, repeat
-from operator import add, gt, le
+from operator import add, le
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -28,7 +27,6 @@ from .pds import Purpose, SharePayload, _slot_setters
 from .secure_agg import MASK_MODULUS, Cell, CellIndexSpace
 
 K_ANON = 5  # published counts below this are suppressed to zero
-RATIO_MIN = 0.05  # minimum infected/baseline ratio for a hotspot
 _PUBLISHED_BYTE = bytes(K_ANON <= b for b in range(256))  # translate table: 1 where a count publishes
 
 
@@ -95,7 +93,6 @@ class LocationStore:
 
     def __init__(self) -> None:
         self._infected: defaultdict[Cell, Counter[int]] = defaultdict(Counter)
-        self._baseline: defaultdict[Cell, Counter[int]] = defaultdict(Counter)
         self._window_pseudonyms: set[bytes] = set()
 
     def ingest_location_payload(self, payload: SharePayload) -> None:
@@ -107,7 +104,7 @@ class LocationStore:
         for visit in payload.body:
             self._infected[visit.cell][visit.bin_start] += 1
 
-    def ingest_aggregate(self, space: CellIndexSpace, sums: Sequence[int], *, baseline: bool = False) -> None:
+    def ingest_aggregate(self, space: CellIndexSpace, sums: Sequence[int]) -> None:
         """Fold in a secure-aggregation result (one count vector per round);
         a vector with any entry not an int in [0, MASK_MODULUS) stores nothing."""
         if len(sums) != space.dimension:
@@ -115,11 +112,10 @@ class LocationStore:
         for idx, value in enumerate(sums):
             if type(value) is not int or not 0 <= value < MASK_MODULUS:
                 raise ValueError(f"aggregate entry {idx} is {value!r}, not an int in [0, {MASK_MODULUS})")
-        target = self._baseline if baseline else self._infected
         for idx, value in enumerate(sums):
             if value:
                 cell, bin_start = space.coordinate(idx)
-                target[cell][bin_start] += value
+                self._infected[cell][bin_start] += value
 
     def close_upload_window(self) -> None:
         self._window_pseudonyms.clear()
@@ -127,13 +123,8 @@ class LocationStore:
     def infected_count_at(self, cell: Cell, bin_start: int) -> int:
         return self._infected.get(cell, Counter())[bin_start]
 
-    def build_density_map(self, space: CellIndexSpace, *, with_baseline: bool = False) -> "DensityMap":
-        infected = tuple(space.dense_counts(self._infected))
-        if not with_baseline:
-            return DensityMap(space, infected)
-        # the baseline covers the whole population, so it can never be
-        # smaller than the positive-only counts it contains
-        return DensityMap(space, infected, tuple(map(max, space.dense_counts(self._baseline), infected)))
+    def build_density_map(self, space: CellIndexSpace) -> "DensityMap":
+        return DensityMap(space, tuple(space.dense_counts(self._infected)))
 
 
 @dataclass(frozen=True)
@@ -147,16 +138,10 @@ class DensityMap:
 
     space: CellIndexSpace
     infected_counts: tuple[int, ...]
-    total_counts: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.infected_counts) != self.space.dimension:
             raise ValueError("infected_counts dimension mismatch")
-        if self.total_counts is not None:
-            if len(self.total_counts) != self.space.dimension:
-                raise ValueError("total_counts dimension mismatch")
-            if any(map(gt, self.infected_counts, self.total_counts)):
-                raise ValueError("infected count exceeds baseline")
 
     def published_counts(self) -> list[int]:
         return list(self._published())
@@ -184,16 +169,14 @@ class Hotspot:
     cell: Cell
     bin_start: int
     infected_count: int
-    ratio: float  # infected/baseline; math.inf when the map has no baseline
 
-    def __init__(self, cell: Cell, bin_start: int, infected_count: int, ratio: float) -> None:
+    def __init__(self, cell: Cell, bin_start: int, infected_count: int) -> None:
         _set_cell(self, cell)
         _set_bin_start(self, bin_start)
         _set_infected_count(self, infected_count)
-        _set_ratio(self, ratio)
 
 
-_set_cell, _set_bin_start, _set_infected_count, _set_ratio = _slot_setters(Hotspot)
+_set_cell, _set_bin_start, _set_infected_count = _slot_setters(Hotspot)
 
 
 @dataclass(frozen=True)
@@ -214,19 +197,12 @@ class RiskMap:
 
 
 def detect_hotspots(dmap: DensityMap) -> list[Hotspot]:
-    """Cells×bins with at least ``K_ANON`` positive visits and, when a
-    baseline exists (never below its count, so never 0 here), an infected
-    share of at least ``RATIO_MIN``.  Sorted by infected count descending,
-    then (cell, bin) ascending, so repeated calls give a total order.
+    """Every published entry: cells×bins with at least ``K_ANON`` positive
+    visits.  Sorted by infected count descending, then (cell, bin)
+    ascending, so repeated calls give a total order.
     """
-    counts, totals = dmap.infected_counts, dmap.total_counts
-    found: list[Hotspot] = []
-    for idx in dmap.unsuppressed:
-        count = counts[idx]
-        ratio = math.inf if totals is None else count / totals[idx]
-        if ratio >= RATIO_MIN:
-            cell, bin_start = dmap.space.coordinate(idx)
-            found.append(Hotspot(cell, bin_start, count, ratio))
+    counts, coordinate = dmap.infected_counts, dmap.space.coordinate
+    found = [Hotspot(*coordinate(idx), counts[idx]) for idx in dmap.unsuppressed]
     found.sort(key=lambda h: (-h.infected_count, _sort_key(h.cell), h.bin_start))
     return found
 
@@ -294,7 +270,6 @@ def hotspots_to_json(hotspots: Sequence[Hotspot]) -> str:
             "cell": cell_to_json(h.cell),
             "bin_start": h.bin_start,
             "infected_count": h.infected_count,
-            "ratio": None if math.isinf(h.ratio) else h.ratio,
         }
         for h in hotspots
     ]

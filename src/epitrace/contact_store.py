@@ -243,7 +243,7 @@ class ContactStore:
         qualified = sorted({obs for (obs, _day), total in minutes.items() if total >= EXPOSURE_MIN_MINUTES})
         return [contact_digest(obs) for obs in qualified]
 
-    # -- simulator checkpointing ------------------------------------------
+    # -- text form (save/load): one line per record ----------------------
 
     def export_lines(self) -> list[str]:
         return [

@@ -159,11 +159,3 @@ def safer_route(
 def route_cost(path: Sequence[tuple[int, int]], risk: RiskMap, bin_start: int) -> float:
     """Total cost of a path under the safer_route edge model."""
     return sum(1.0 + RISK_WEIGHT * risk.level_at(cell, bin_start) for cell in path[1:])
-
-
-def route_to_csv(path: Sequence[tuple[int, int]]) -> str:
-    """Ordered cell list as CSV rows: step,cell_x,cell_y."""
-    lines = ["step,cell_x,cell_y"]
-    lines += [f"{i},{x},{y}" for i, (x, y) in enumerate(path)]
-    return "\n".join(lines) + "\n"
-

@@ -48,7 +48,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
-from .authority import LocationStore, PublicBoard, channel_identifiers, detect_hotspots, export_hotspots_json
+from .authority import LocationStore, PublicBoard, detect_hotspots, export_hotspots_json
 from .contact_store import ContactStore
 from .crypto_ids import EPOCHS_PER_DAY, DailySeed, derive_next_seed, epoch_ids, report_from_seeds, report_id_set
 from .pds import Granularity, PersonalDataStore, Purpose
@@ -336,7 +336,9 @@ class Simulation:
     ``events`` is the run's record: every infection (index cases first),
     positive test and notification, appended as it happens, so in epoch
     order and each notification after its source's test.  ``infections``,
-    ``tests`` and ``notifications`` are read-only views of it.
+    ``tests`` and ``notifications`` are read-only views of it.  ``board``
+    keeps every report published over the run, unpruned: the contact
+    channel's only record.
     """
 
     infections, tests, notifications = _view(InfectionEvent), _view(TestEvent), _view(NotifyEvent)
@@ -353,7 +355,6 @@ class Simulation:
 
         self.board = PublicBoard()
         self.location_store = LocationStore()
-        self.published_reports: list = []
         self._location_pseudonyms: set[bytes] = set()
         # a location fix reports the centre of the agent's cell
         self._centres = [
@@ -464,7 +465,6 @@ class Simulation:
 
     def _start_day(self, day: int) -> None:
         cfg, rng = self.cfg, self.rng
-        self.board.prune(day)
         prune_day = day % STORE_PRUNE_EVERY_DAYS == 0
         for agent in self.agents:
             if agent.has_app:
@@ -677,7 +677,6 @@ class Simulation:
             self._write_run(agent.cell, day, self._run_stop)
         report = report_from_seeds(agent.seed_chain[-REPORT_WINDOW_DAYS:])
         self.board.publish_report(report, published_day=day)
-        self.published_reports.append(report)
         ids = report_id_set(report)
         for peer_id in sorted(self._partners[agent.id]):
             peer = self.agents[peer_id]
@@ -757,17 +756,10 @@ class Simulation:
         r_eff = [caused[g] / members[g] for g in range(max(members, default=-1) + 1) if members[g]]
 
         transmissions = [e for e in infections if e.channel != "seed"]
-        traced = 0
-        notified_by = {}
-        for n in self.notifications:
-            notified_by.setdefault(n.target, []).append(n)
-        for e in transmissions:
-            if e.infector is None:
-                continue  # environmental pickups have no traceable link
-            for n in notified_by.get(e.infectee, ()):
-                if n.source == e.infector and n.disease_at == "E" and n.epoch >= e.epoch:
-                    traced += 1
-                    break
+        # notified while still E, so after the target's one infection; an
+        # environmental pickup has no infector and matches no pair
+        pairs = {(n.target, n.source) for n in self.notifications if n.disease_at == "E"}
+        traced = sum((e.infectee, e.infector) in pairs for e in transmissions)
         traced_fraction = traced / len(transmissions) if transmissions else 0.0
 
         truth = self.ground_truth_fomite_cells()
@@ -805,7 +797,7 @@ class Simulation:
 
     def contact_channel_identifiers(self) -> set[bytes]:
         """Everything observable on the contact channel over the whole run."""
-        return channel_identifiers(self.published_reports)
+        return self.board.identifier_set()
 
     def location_channel_identifiers(self) -> set[bytes]:
         """Pseudonyms that crossed the location channel over the whole run."""

@@ -1,7 +1,6 @@
 """Authority backend: board, escrow notification, density maps, risk maps."""
 
 import json
-import math
 import random
 import tracemalloc
 from bisect import bisect_right
@@ -121,23 +120,21 @@ class TestIngestion:
         store.ingest_location_payload(payload)
         assert store.infected_count_at((0, 0), 0) == 2
 
-    @pytest.mark.parametrize("baseline", [False, True])
     @pytest.mark.parametrize(
         "bad_idx,bad",
         [(2, -3), (2, 1.5), (2, True), (1, False), (2, "a"), (3, 1 << 32), (0, None)],
     )
-    def test_bad_aggregate_stores_nothing(self, baseline, bad_idx, bad):
+    def test_bad_aggregate_stores_nothing(self, bad_idx, bad):
         space = small_space()
         store = LocationStore()
         store.ingest_aggregate(space, [7] + [0] * 11)
-        store.ingest_aggregate(space, [9] + [0] * 11, baseline=True)
-        before = store.build_density_map(space, with_baseline=True)
+        before = store.build_density_map(space)
         sums = [5, 0, 0, 0] + [6] * 8
         sums[bad_idx] = bad
         with pytest.raises(ValueError, match=f"entry {bad_idx} is {bad!r}"):
-            store.ingest_aggregate(space, sums, baseline=baseline)
+            store.ingest_aggregate(space, sums)
         assert store.infected_count_at((0, 0), 0) == 7
-        assert store.build_density_map(space, with_baseline=True) == before
+        assert store.build_density_map(space) == before
 
     def test_aggregate_takes_counts_up_to_mask_modulus(self):
         space = small_space()
@@ -191,10 +188,6 @@ class TestDensityMaps:
         map_b = store_b.build_density_map(space)
         assert map_a.infected_counts == map_b.infected_counts
 
-    def test_baseline_never_below_infected(self):
-        with pytest.raises(ValueError):
-            DensityMap(small_space(), (5,) + (0,) * 11, (4,) + (0,) * 11)
-
 
 class TestHotspots:
     def space1(self):
@@ -204,23 +197,10 @@ class TestHotspots:
         dmap = DensityMap(small_space(), (0,) * 12)
         assert detect_hotspots(dmap) == []
 
-    def test_ratio_rule(self):
-        dmap = DensityMap(self.space1(), (12, 12), (100, 1000))
-        spots = detect_hotspots(dmap)
-        assert [h.cell for h in spots] == [(0, 0)]  # 0.12 >= 0.05; 0.012 < 0.05
-        assert spots[0].ratio == pytest.approx(0.12)
-
     def test_threshold_rule(self):
         dmap = DensityMap(self.space1(), (4, 5))
         spots = detect_hotspots(dmap)
-        assert [h.cell for h in spots] == [(0, 1)]
-        assert math.isinf(spots[0].ratio)  # no baseline present
-
-    def test_zero_baseline_state_is_unconstructible(self):
-        # "baseline 0 with infected >= k" cannot arise: the map invariant
-        # already forbids infected counts above the baseline
-        with pytest.raises(ValueError):
-            DensityMap(self.space1(), (7, 0), (0, 10))
+        assert spots == [Hotspot((0, 1), 0, 5)]
 
     def test_total_order(self):
         space = CellIndexSpace(((0, 0), (0, 1), (1, 0)), (0, 3600), bin_seconds=3600)
@@ -302,11 +282,11 @@ class TestExports:
         assert lines[0] == "cell_x,cell_y,bin_start,level"
         assert lines[1] == "0,0,0,3"
 
-    def test_hotspots_json_with_infinite_ratio(self):
+    def test_hotspots_json(self):
         dmap = DensityMap(CellIndexSpace(((2, 3),), (0,), bin_seconds=3600), (8,))
         spots = detect_hotspots(dmap)
         rows = json.loads(hotspots_to_json(spots))
-        assert rows == [{"cell": [2, 3], "bin_start": 0, "infected_count": 8, "ratio": None}]
+        assert rows == [{"cell": [2, 3], "bin_start": 0, "infected_count": 8}]
 
 
 # -- dense CSV exports vs. the per-entry reference writer ----------------------
@@ -433,20 +413,12 @@ def ref_bucket(keyed, space):
     return out
 
 
-def ref_hotspots(dmap, k_anon, ratio_min=0.05):
+def ref_hotspots(dmap, k_anon):
     found = []
     for idx, count in enumerate(dmap.infected_counts):
-        if count < k_anon:
-            continue
-        cell, bin_start = dmap.space.coordinate(idx)
-        if dmap.total_counts is None:
-            found.append(Hotspot(cell, bin_start, count, math.inf))
-            continue
-        baseline = dmap.total_counts[idx]
-        if baseline == 0:
-            found.append(Hotspot(cell, bin_start, count, math.inf))
-        elif count / baseline >= ratio_min:
-            found.append(Hotspot(cell, bin_start, count, count / baseline))
+        if count >= k_anon:
+            cell, bin_start = dmap.space.coordinate(idx)
+            found.append(Hotspot(cell, bin_start, count))
     found.sort(key=lambda h: (-h.infected_count, h.cell, h.bin_start))
     return found
 
@@ -484,9 +456,9 @@ QUERY_SPACES = {
 
 
 def random_store(rng, density):
-    """A LocationStore plus the (cell, time) -> count dicts it holds, built
-    from payloads (some off the hour) and hourly aggregates."""
-    infected, baseline = {}, {}
+    """A LocationStore plus the (cell, time) -> count dict it holds, built
+    from payloads (some off the hour) and an hourly aggregate."""
+    infected = {}
     store = LocationStore()
     for uid in range(12):
         visits = [
@@ -496,57 +468,37 @@ def random_store(rng, density):
         store.ingest_location_payload(location_payload(visits, bytes([uid]) * 16))
         for v in visits:
             infected[(v.cell, v.bin_start)] = infected.get((v.cell, v.bin_start), 0) + 1
-    for target, flag in ((infected, False), (baseline, True)):
-        sums = [rng.choice((1, 4, 6, 9, 30, 200)) if rng.random() < density else 0 for _ in range(HOURLY.dimension)]
-        store.ingest_aggregate(HOURLY, sums, baseline=flag)
-        for idx, n in enumerate(sums):
-            if n:
-                key = HOURLY.coordinate(idx)
-                target[key] = target.get(key, 0) + n
-    return store, infected, baseline
+    sums = [rng.choice((1, 4, 6, 9, 30, 200)) if rng.random() < density else 0 for _ in range(HOURLY.dimension)]
+    store.ingest_aggregate(HOURLY, sums)
+    for idx, n in enumerate(sums):
+        if n:
+            key = HOURLY.coordinate(idx)
+            infected[key] = infected.get(key, 0) + n
+    return store, infected
 
 
 class TestPublicationPassMatchesReference:
     @pytest.mark.parametrize("space_name", sorted(QUERY_SPACES))
-    @pytest.mark.parametrize(
-        "with_baseline,density",
-        [(False, 0.3), (True, 0.3), (False, 0.6), (True, 0.6), (False, 0.0)],
-    )
-    def test_seeded_maps(self, space_name, with_baseline, density):
+    @pytest.mark.parametrize("density", [0.3, 0.6, 0.0])
+    def test_seeded_maps(self, space_name, density):
         space = QUERY_SPACES[space_name]
         for seed in range(8):
             rng = random.Random(seed)
-            store, infected, baseline = random_store(rng, density)
-            dmap = store.build_density_map(space, with_baseline=with_baseline)
-            inf = ref_bucket(infected, space)
-            assert dmap.infected_counts == tuple(inf)
-            if with_baseline:
-                assert dmap.total_counts == tuple(max(t, i) for t, i in zip(ref_bucket(baseline, space), inf))
+            store, infected = random_store(rng, density)
+            dmap = store.build_density_map(space)
+            assert dmap.infected_counts == tuple(ref_bucket(infected, space))
             hotspots = detect_hotspots(dmap)
             assert hotspots == ref_hotspots(dmap, K_ANON)
             extra = [
-                Hotspot((7, 7), space.bins[0], 99, math.inf),  # cell outside the space
-                Hotspot(space.cells[0], space.bins[0] + 1, 99, math.inf),  # inside a bin, not its start
-                Hotspot(space.cells[-1], space.bins[-1], 1, math.inf),
+                Hotspot((7, 7), space.bins[0], 99),  # cell outside the space
+                Hotspot(space.cells[0], space.bins[0] + 1, 99),  # inside a bin, not its start
+                Hotspot(space.cells[-1], space.bins[-1], 1),
             ]
             for spots in (hotspots, hotspots + extra, extra, []):
                 assert publish_risk_map(dmap, spots).levels == ref_levels(dmap, spots, K_ANON)
             assert publish_risk_map(dmap, extra).levels[space.index_of(space.cells[0], space.bins[0])] != 3
 
     def test_empty_map(self):
-        dmap = LocationStore().build_density_map(HOURLY, with_baseline=True)
+        dmap = LocationStore().build_density_map(HOURLY)
         assert detect_hotspots(dmap) == ref_hotspots(dmap, 5) == []
         assert publish_risk_map(dmap, []).levels == ref_levels(dmap, [], 5)
-
-    def test_sparse_baseline_gives_finite_ratios(self):
-        # zero baselines sit only under suppressed counts, so a published
-        # entry always has a baseline to divide by
-        rng = random.Random(3)
-        infected = tuple(rng.choice((0, 0, 1, 2, 8)) for _ in range(HOURLY.dimension))
-        total = tuple(i + rng.choice((0, 0, 3, 40)) if i else rng.choice((0, 5)) for i in infected)
-        dmap = DensityMap(HOURLY, infected, total)
-        hotspots = detect_hotspots(dmap)
-        assert hotspots == ref_hotspots(dmap, K_ANON)
-        assert hotspots and not any(math.isinf(h.ratio) for h in hotspots)
-        for spots in (hotspots, hotspots[::7], []):
-            assert publish_risk_map(dmap, spots).levels == ref_levels(dmap, spots, K_ANON)

@@ -1,11 +1,15 @@
 """CLI surface: exit codes, artifacts, demo self-checks, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from epitrace import cli
-from epitrace.cli import EXIT_OK, EXIT_USAGE, main
+from epitrace.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from epitrace.secure_agg import PARTICIPANT_BOUND
 
 MINIMAL_CONFIG = {
@@ -254,3 +258,39 @@ class TestSweepCommand:
 def test_usage_error_on_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+
+def run_module(argv):
+    """``python -m epitrace.cli`` with this checkout's package on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "epitrace.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestModuleEntryPoint:
+    """The module entry point exits with ``main``'s code."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["aggregate-demo", "--participants", "3"], EXIT_OK),
+            (["--help"], EXIT_OK),
+            (["trace-demo", "--users", "1"], EXIT_USAGE),
+            (["aggregate-demo", "--participants", "0"], EXIT_USAGE),
+            (["frobnicate"], EXIT_USAGE),
+            ([], EXIT_USAGE),
+        ],
+    )
+    def test_exit_code(self, argv, code):
+        done = run_module(argv)
+        assert done.returncode == code, done.stderr
+
+    def test_runtime_failure_exits_1(self, tmp_path):
+        blocker = tmp_path / "file"  # --out under a file cannot be made
+        blocker.write_text("")
+        done = run_module(["aggregate-demo", "--participants", "2", "--out", str(blocker / "sub")])
+        assert done.returncode == EXIT_RUNTIME
+        assert done.stderr.startswith("error: ")

@@ -72,7 +72,7 @@ GOLDEN = {
         "events.log": "e86fb482703cd3bca1b8fca3b8aad4ecfb8ec94deebf90ee9cc8dcc2615c520d",
         "metrics.csv": "a115230fbeeac535db61df795c8e3215a868dbce6c5711fa6d515dd6cef48711",
         "summary.json": "7277db91c2a2257ed1471198ca00b4ac450d6247b6aa4361e7409f700e74b74a",
-        "hotspots.json": "4f37826f9ddb866af55dc0b19b1d97e3b946def2ddd5cb64c5266661e2e808f7",
+        "hotspots.json": "fc961c7836dac70f8ecdee28dac56a578f4333265cb33ffa5d48441c347f3a81",
     },
     "contact-delay0": {
         "events.log": "2152b9cbd9b67e7dbaa6ef6a05890c1a440af38959520122d4900cb530baf2bb",

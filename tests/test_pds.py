@@ -571,8 +571,8 @@ VALUE_OBJECTS = [
     (LocationPoint, (43.72, -10.4, 1_700_000_000)),
     (CoarsenedVisit, ((4372, 1040), 3600, 40)),
     (CoarsenedVisit, ("poi:cafe", -86400, 1)),
-    (Hotspot, ((3, 4), 7200, 9, 0.25)),
-    (Hotspot, ("area:1:2", 0, 5, math.inf)),
+    (Hotspot, ((3, 4), 7200, 9)),
+    (Hotspot, ("area:1:2", 0, 5)),
 ]
 
 
@@ -604,7 +604,7 @@ class TestValueObjects:
         assert cls(**dict(zip(names, values))) == obj
         assert dataclasses.replace(obj, **{names[1]: values[1] + 60}) == cls(values[0], values[1] + 60, *values[2:])
         match obj:  # positional class patterns read __match_args__
-            case LocationPoint(lat, lon, t) | CoarsenedVisit(lat, lon, t) | Hotspot(lat, lon, t, _):
+            case LocationPoint(lat, lon, t) | CoarsenedVisit(lat, lon, t) | Hotspot(lat, lon, t):
                 assert (lat, lon, t) == values[:3]
         for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
             assert type(twin) is cls and twin == obj

@@ -17,7 +17,6 @@ from epitrace.self_awareness import (
     exposure_score,
     flag_risky_segments,
     route_cost,
-    route_to_csv,
     safer_route,
 )
 
@@ -277,15 +276,6 @@ class TestSaferRoute:
             assert route_cost(path, risk, 0) == pytest.approx(
                 dijkstra_cost(8, 8, origin, dest, risk, 0)
             )
-
-    def test_route_csv(self):
-        risk = grid_risk(2, 2, {})
-        path = safer_route(2, 2, (0, 0), (1, 1), risk, 0)
-        csv_text = route_to_csv(path)
-        lines = csv_text.splitlines()
-        assert lines[0] == "step,cell_x,cell_y"
-        assert lines[1] == "0,0,0"
-        assert len(lines) == len(path) + 1
 
     def test_lexicographic_tie_break(self):
         risk = grid_risk(3, 3, {})

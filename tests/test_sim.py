@@ -285,14 +285,14 @@ class TestInterventionGating:
         ct_sim.run()
         assert run_record(none_sim) == run_record(ct_sim)
         assert none_sim.infections == ct_sim.infections
-        assert len(ct_sim.published_reports) == 0
+        assert len(ct_sim.board.reports()) == 0
 
     def test_contact_mode_publishes_reports_but_no_payloads(self):
         from dataclasses import replace
 
         sim = Simulation(replace(BASE, intervention=Intervention.CONTACT_TRACING))
         sim.run()
-        assert len(sim.published_reports) > 0
+        assert len(sim.board.reports()) > 0
         assert len(sim.location_channel_identifiers()) == 0
 
     def test_location_mode_fires_both_channels_disjointly(self):
@@ -311,7 +311,7 @@ class TestInterventionGating:
         sim = Simulation(replace(BASE, adoption=0.0, intervention=Intervention.CONTACT_AND_LOCATION))
         sim.run()
         assert sim.tests  # positives were found and isolated
-        assert not sim.published_reports
+        assert not sim.board.reports()
         assert not sim.location_channel_identifiers()
         assert not sim.notifications
 
@@ -329,7 +329,7 @@ class TestTracingCausality:
         sim.run()
         assert sim.notifications, "scenario produced no notifications to audit"
         reports_by_source = {}
-        for report, test_event in zip(sim.published_reports, [t for t in sim.tests if sim.agents[t.agent].has_app]):
+        for report, test_event in zip(sim.board.reports(), [t for t in sim.tests if sim.agents[t.agent].has_app]):
             reports_by_source.setdefault(test_event.agent, []).append(report)
         for note in sim.notifications:
             candidates = reports_by_source.get(note.source, [])
