@@ -21,9 +21,8 @@ from operator import add, le
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .contact_store import RETENTION_DAYS
 from .crypto_ids import EscrowTable, ExposureReport, report_id_set
-from .pds import Purpose, SharePayload, _slot_setters
+from .pds import CoarsenedVisit, Purpose, SharePayload, _slot_setters
 from .secure_agg import MASK_MODULUS, Cell, CellIndexSpace
 
 K_ANON = 5  # published counts below this are suppressed to zero
@@ -41,7 +40,7 @@ class BoardEntry:
 
 
 class PublicBoard:
-    """Append-only exposure-report board with a retention horizon."""
+    """Append-only exposure-report board."""
 
     def __init__(self) -> None:
         self._entries: list[BoardEntry] = []
@@ -51,10 +50,6 @@ class PublicBoard:
 
     def publish_report(self, report: ExposureReport, published_day: int) -> None:
         self._entries.append(BoardEntry(report, published_day))
-
-    def prune(self, today: int) -> None:
-        cutoff = today - RETENTION_DAYS
-        self._entries = [e for e in self._entries if e.published_day > cutoff]
 
     def reports(self) -> list[ExposureReport]:
         return [e.report for e in self._entries]
@@ -100,6 +95,14 @@ class LocationStore:
             raise WrongPurpose(f"expected location_upload, got {payload.purpose.value}")
         if payload.pseudonym in self._window_pseudonyms:
             return
+        for idx, visit in enumerate(payload.body):  # every entry, before anything is stored or the pseudonym used
+            if isinstance(visit, CoarsenedVisit) and type(visit.bin_start) is int:
+                try:
+                    hash(visit.cell)  # counts are keyed by cell
+                    continue
+                except TypeError:
+                    pass
+            raise ValueError(f"entry {idx} is {visit!r}, not a visit with int bin_start and hashable cell")
         self._window_pseudonyms.add(payload.pseudonym)
         for visit in payload.body:
             self._infected[visit.cell][visit.bin_start] += 1

@@ -36,8 +36,8 @@ class EncounterRecord:
 
     def __post_init__(self) -> None:
         # inline checks: every stored record passes them twice
-        if len(self.observed) != EPHID_BYTES:
-            raise ValueError(f"observed id must be {EPHID_BYTES} bytes")
+        if type(self.observed) is not bytes or len(self.observed) != EPHID_BYTES:  # checks hash it, exports hex it
+            raise ValueError(f"observed id must be {EPHID_BYTES} bytes of type bytes")
         if not 0 <= self.epoch < EPOCHS_PER_DAY:
             raise ValueError(f"epoch must be in 0..{EPOCHS_PER_DAY - 1}, got {self.epoch}")
         if not 1 <= self.duration_min <= 15:
@@ -120,13 +120,14 @@ class ContactStore:
 
     def record_encounter(self, rec: EncounterRecord) -> None:
         """Append one record.  A record's fields can be reassigned after it
-        was built, so they are checked again, against the ranges
+        was built, so they are checked again, against the types and ranges
         ``EncounterRecord`` checks; a failed check, or a field that is not an
         int (``TypeError``), writes nothing.  The day is checked when its
         columns open, so 3.0 once day 3 is held is stored as day 3."""
         # hot: slot reads measured cheaper than locals
         if not (
-            len(rec.observed) == EPHID_BYTES
+            type(rec.observed) is bytes
+            and len(rec.observed) == EPHID_BYTES
             and 0 <= rec.epoch < EPOCHS_PER_DAY
             and 1 <= rec.duration_min <= 15
             and 0 <= rec.attenuation <= 100
@@ -158,7 +159,8 @@ class ContactStore:
         one for a length mismatch, and ``TypeError`` for a non-int field or
         an int in place of ``epochs``; on a failed check nothing is written.
         """
-        _check_ints(day=day, duration_min=duration_min, attenuation=attenuation)
+        if type(day) is not int or type(duration_min) is not int or type(attenuation) is not int:  # hot: no kwargs call
+            _check_ints(day=day, duration_min=duration_min, attenuation=attenuation)  # raises, naming the field
         if not 1 <= duration_min <= 15:
             raise ValueError(f"duration_min must be in 1..15, got {duration_min}")
         if not 0 <= attenuation <= 100:
@@ -178,8 +180,8 @@ class ContactStore:
                     raise ValueError(f"epoch must be in 0..{EPOCHS_PER_DAY - 1}, got {epoch}")
             raise ValueError(f"{n} observed ids but {len(epochs)} epochs")
         for obs in observed:
-            if len(obs) != EPHID_BYTES:
-                raise ValueError(f"observed id must be {EPHID_BYTES} bytes")
+            if type(obs) is not bytes or len(obs) != EPHID_BYTES:
+                raise ValueError(f"observed id must be {EPHID_BYTES} bytes of type bytes")
         if not n:
             return
         cols = self._days.get(day)

@@ -109,7 +109,6 @@ class ScenarioConfig:
     horizon_days: int = 120
     n_index_cases: int = 5
     n_workplaces: int = 160  # 0 = everyone works from home
-    errand_mode: str = "random"  # or "staggered": capacity-spread slots
 
     def __post_init__(self) -> None:
         self.validate()  # every construction is checked, so a config that exists is valid
@@ -132,8 +131,6 @@ class ScenarioConfig:
                 raise ConfigError(name, "must be > 0")
         if not 0 <= self.n_index_cases <= self.n_agents:
             raise ConfigError("n_index_cases", "must be in [0, n_agents]")
-        if self.errand_mode not in ("random", "staggered"):
-            raise ConfigError("errand_mode", f"unknown mode {self.errand_mode!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed", "must fit in u64")
         seen = set()
@@ -298,20 +295,6 @@ class Agent:
         self.fixes: list[tuple[int, int]] | None = None  # a location-mode carrier's, not yet in pds
 
 
-class _CellLog:
-    """The last group logged in one cell, and its open run: the epochs of
-    today its carriers have spent together, from ``first`` (-1: none) up to
-    the current epoch.  ``members`` is the occupancy list it was built
-    from; those lists are replaced, never changed, so ``!=`` spots a new
-    group."""
-
-    __slots__ = ("members", "carriers", "first")
-
-    def __init__(self, members: list[Agent], carriers: list[Agent]) -> None:
-        self.members, self.carriers = members, carriers
-        self.first = -1
-
-
 class Simulation:
     """One scenario run; create, call run(), then read metrics/artifacts.
 
@@ -375,8 +358,8 @@ class Simulation:
         self._run_stop = 0  # one past the last epoch whose encounters were logged
         # the contact graph: every agent ever co-located with each agent
         self._partners: dict[int, set[int]] = {aid: set() for aid in range(cfg.n_agents)}
-        self._cells: dict[int, _CellLog] = {}  # every cell that has held a group
-        self._runs: dict[int, _CellLog] = {}  # the cells with an open run
+        self._groups: dict[int, tuple[list[Agent], list[Agent]]] = {}  # cell -> last (members, carriers) logged
+        self._runs: dict[int, int] = {}  # cell -> the first epoch of its open run
 
         self.agents = self._build_agents()
         self._trackers = [a for a in self.agents if a.fixes is not None]
@@ -464,7 +447,7 @@ class Simulation:
         self.epoch += 1
 
     def _start_day(self, day: int) -> None:
-        cfg, rng = self.cfg, self.rng
+        rng, shared = self.rng, self._shared
         prune_day = day % STORE_PRUNE_EVERY_DAYS == 0
         for agent in self.agents:
             if agent.has_app:
@@ -477,23 +460,13 @@ class Simulation:
                     # report anyway (their IDs derive from seeds outside
                     # every future report window), so weekly is enough
                     agent.store.prune(day)
-        if not self._shared:
+        if not shared:
             return
-        if cfg.errand_mode == "random":
-            for agent in self.agents:
-                agent.errand_epoch = rng.randrange(ERRAND_START, ERRAND_END)
-                agent.errand_cell = self._shared[rng.randrange(len(self._shared))]
-        else:  # staggered: spread agents over (cell, epoch) slots
-            order = list(range(cfg.n_agents))
-            rng.shuffle(order)
-            slots = [(c, ep) for c in self._shared for ep in range(ERRAND_START, ERRAND_END)]
-            for pos, aid in enumerate(order):
-                cell, ep = slots[pos % len(slots)]
-                self.agents[aid].errand_cell = cell
-                self.agents[aid].errand_epoch = ep
-        self._errands = [[] for _ in range(EPOCHS_PER_DAY)]
+        errands = self._errands = [[] for _ in range(EPOCHS_PER_DAY)]
         for agent in self.agents:
-            self._errands[agent.errand_epoch].append(agent.id)
+            agent.errand_epoch = rng.randrange(ERRAND_START, ERRAND_END)
+            agent.errand_cell = shared[rng.randrange(len(shared))]
+            errands[agent.errand_epoch].append(agent.id)
 
     def _move_agents(self, eod: int) -> dict[int, list[Agent]]:
         self._q_epochs += self._n_q
@@ -515,7 +488,7 @@ class Simulation:
                 arrivals.setdefault(cell, []).append(agent)
         movers.clear()
         changed.update(arrivals)
-        # a regrouped cell gets a new list, so _CellLog's != spots a new group
+        # a regrouped cell gets a new list, so _log_encounters' != spots a new group
         for cell in left.union(arrivals):
             members = [a for a in occupancy.pop(cell, ()) if a.cell == cell]
             new = arrivals.get(cell)
@@ -579,27 +552,25 @@ class Simulation:
         # go on to this epoch.  A run ends before the epoch its group changes
         # in, and an agent is in one cell, so runs written in any cell order
         # keep each store in epoch order.  The contact graph only grows: it
-        # changes only when a group changes.
-        partners, cells, runs = self._partners, self._cells, self._runs
+        # changes only when a group changes.  Fewer than 2 members never equal
+        # a logged group, so their cell's run closes and its group stays.
+        partners, groups, runs = self._partners, self._groups, self._runs
         for cell in self._changed:
             members = occupancy.get(cell, ())
-            if len(members) < 2:
+            group = groups.get(cell)
+            if group is None or group[0] != members:
                 if cell in runs:
                     self._write_run(cell, day, eod)
-                continue
-            log = cells.get(cell)
-            if log is None or log.members != members:
-                if cell in runs:
-                    self._write_run(cell, day, eod)
-                log = cells[cell] = _CellLog(members, [a for a in members if a.has_app])
+                if len(members) < 2:
+                    continue
+                group = groups[cell] = (members, [a for a in members if a.has_app])
                 member_ids = [a.id for a in members]
                 for aid in member_ids:
                     peers = partners[aid]
                     peers.update(member_ids)
                     peers.discard(aid)
-            if log.first < 0 and len(log.carriers) > 1:
-                log.first = eod
-                runs[cell] = log
+            if cell not in runs and len(group[1]) > 1:
+                runs[cell] = eod
         self._run_stop = eod + 1
 
     def _write_run(self, cell: int, day: int, stop: int) -> None:
@@ -607,9 +578,8 @@ class Simulation:
         records the other carriers' IDs of every epoch in it, in epoch then
         member order.  Each carrier derives only the run's epochs, once for
         all the others."""
-        log = self._runs.pop(cell)
-        carriers, start = log.carriers, log.first
-        log.first = -1
+        start = self._runs.pop(cell)
+        carriers = self._groups[cell][1]
         k = len(carriers)
         heard = [b""] * ((stop - start) * k)  # every carrier's IDs, epoch-major
         for j, a in enumerate(carriers):

@@ -55,14 +55,6 @@ class TestBoard:
         board.publish_report(report_from_seeds([DailySeed(0, bytes(32))]), published_day=0)
         assert len(board) == 1
 
-    def test_prune_drops_old_reports(self):
-        board = PublicBoard()
-        board.publish_report(report_from_seeds([DailySeed(0, bytes(32))]), published_day=0)
-        board.publish_report(report_from_seeds([DailySeed(3, b"\x01" * 32)]), published_day=3)
-        board.prune(today=15)
-        assert len(board) == 1
-        assert board.reports()[0].first_day == 3
-
     def test_board_carries_no_location_surface(self):
         # type-level separation: the board's API cannot ingest payloads
         board = PublicBoard()
@@ -119,6 +111,41 @@ class TestIngestion:
         store.close_upload_window()
         store.ingest_location_payload(payload)
         assert store.infected_count_at((0, 0), 0) == 2
+
+    @pytest.mark.parametrize(
+        "bad_idx,bad",
+        [
+            (1, "junk"),
+            (0, None),
+            (1, CoarsenedVisit((1, 1), "x", 5)),
+            (2, CoarsenedVisit((1, 1), 3600.0, 5)),
+            (1, CoarsenedVisit((1, 1), True, 5)),
+            (2, CoarsenedVisit([1, 1], 0, 5)),
+            (1, CoarsenedVisit((1, [1]), 0, 5)),
+        ],
+        ids=["not-a-visit", "none", "str-bin", "float-bin", "bool-bin", "list-cell", "cell-holding-a-list"],
+    )
+    def test_malformed_location_payload_stores_nothing(self, bad_idx, bad):
+        space = small_space()
+        store = LocationStore()
+        store.ingest_location_payload(location_payload([CoarsenedVisit((0, 0), 0, 5)], b"\x01" * 16))
+        before = store.build_density_map(space)
+        good = [CoarsenedVisit((1, 1), 0, 5), CoarsenedVisit((1, 1), 3600, 5)]
+        body = good[:bad_idx] + [bad] + good[bad_idx:]
+        with pytest.raises(ValueError, match=f"entry {bad_idx} is "):
+            store.ingest_location_payload(location_payload(body, b"\x02" * 16))
+        assert store.build_density_map(space) == before
+        assert store.infected_count_at((1, 1), 0) == 0
+        # the pseudonym stays unused, so the good upload under it still counts
+        store.ingest_location_payload(location_payload(good, b"\x02" * 16))
+        assert store.infected_count_at((1, 1), 0) == store.infected_count_at((1, 1), 3600) == 1
+
+    def test_body_that_is_not_a_sequence_leaves_pseudonym_unused(self):
+        store = LocationStore()
+        with pytest.raises(TypeError):
+            store.ingest_location_payload(SharePayload(Purpose.LOCATION_UPLOAD, b"\x02" * 16, None))
+        store.ingest_location_payload(location_payload([CoarsenedVisit((1, 1), 0, 5)], b"\x02" * 16))
+        assert store.infected_count_at((1, 1), 0) == 1
 
     @pytest.mark.parametrize(
         "bad_idx,bad",

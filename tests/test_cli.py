@@ -71,6 +71,11 @@ class TestSimulate:
         assert capsys.readouterr().err == "config error: shared_space_cells: cell (2, 2) listed twice\n"
         assert not (tmp_path / "nested").exists()
 
+    def test_errand_mode_is_an_unknown_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"errand_mode": "random"})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: errand_mode: unknown config field\n"
+
     def test_location_run_builds_density_map_once(self, tmp_path, density_builds):
         cfg = write_config(tmp_path)
         out = tmp_path / "loc"

@@ -77,6 +77,9 @@ class TestRecording:
             rec(attenuation=101)
         with pytest.raises(ValueError):
             rec(observed=b"\x01" * 15)
+        for observed in (bytearray(b"\x01" * 16), "\x01" * 16):  # checks hash an ID, exports hex it
+            with pytest.raises(ValueError, match="of type bytes"):
+                rec(observed=observed)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -87,6 +90,8 @@ class TestRecording:
             ("duration_min", 16),
             ("attenuation", 101),
             ("observed", b"\x02" * 15),
+            pytest.param("observed", bytearray(b"\x02" * 16), id="observed-bytearray"),
+            pytest.param("observed", "\x02" * 16, id="observed-str"),
         ],
     )
     def test_reassigned_record_rejected_and_nothing_written(self, field, value):
@@ -377,13 +382,14 @@ class TestBulkRecording:
         store.record_observations([b"\x01" * 16, b"\x02" * 16], 4, bytes([7, 95]), 12, 40)
         assert store.export_lines() == ["4,7,12,40," + "01" * 16, "4,95,12,40," + "02" * 16]
 
-    def test_bulk_rejects_bad_id_length_and_writes_nothing(self):
+    def test_bulk_rejects_bad_id_and_writes_nothing(self):
         store = ContactStore()
         store.record_observations([b"\x01" * 16], 0, [5], 15, 30)
-        for bad in (b"\x02" * 15, b"\x02" * 17, b""):
+        for bad in (b"\x02" * 15, b"\x02" * 17, b"", bytearray(b"\x02" * 16), "\x02" * 16):
             with pytest.raises(ValueError):
                 store.record_observations([b"\x01" * 16, bad, b"\x03" * 16], 0, [6] * 3, 15, 30)
         assert store.export_lines() == ["0,5,15,30," + "01" * 16]
+        assert [e.matched_epochs for e in store.check_exposure_ids({b"\x01" * 16})] == [(5,)]
 
     def test_records_listed_day_by_day_in_first_write_order(self):
         store = ContactStore()

@@ -52,7 +52,7 @@ json_values = st.recursive(
 near_valid = (
     st.integers(-2, 30)
     | st.floats(-1.0, 40.0)
-    | st.sampled_from(["random", "staggered", "none", "contact", "contact+location"])
+    | st.sampled_from(["none", "contact", "contact+location"])
     | st.lists(st.lists(st.integers(-1, 30), min_size=2, max_size=2), max_size=3)
 )
 config_objects = st.dictionaries(
@@ -68,7 +68,6 @@ WRONG_JSON_TYPES = [
     ("seed", True),
     ("adoption", None),
     ("beta_fomite", float("nan")),
-    ("errand_mode", 3),
     ("shared_space_cells", [[1, 2, 3]]),
     ("shared_space_cells", [[1, "2"]]),
     ("shared_space_cells", "2,2"),
@@ -393,7 +392,7 @@ class PerEpochLogging(Simulation):
 
 # positives are tested 1.3 days after turning infectious, so at all times
 # of day; the location world's errands leave cells without a group; the
-# staggered world runs past QUARANTINE_DAYS, so agents also leave Q; the
+# 18-day world runs past QUARANTINE_DAYS, so agents also leave Q; the
 # delay0 world tests each positive in the epoch it turns infectious
 DEFERRED_WORLDS = {
     "contact": replace(BASE, intervention=Intervention.CONTACT_TRACING, test_delay_days=1.3, horizon_days=9),
@@ -405,10 +404,9 @@ DEFERRED_WORLDS = {
         test_delay_days=0.0,
         horizon_days=9,
     ),
-    "staggered": replace(
+    "18-day": replace(
         BASE,
         intervention=Intervention.CONTACT_TRACING,
-        errand_mode="staggered",
         beta_contact=0.03,
         test_delay_days=1.3,
         horizon_days=18,
@@ -431,11 +429,12 @@ def carriers_of(sim):
 
 def open_run_lag(sim, agent):
     """Records an agent's store still owes for the open run it is in."""
-    log = sim._runs.get(agent.cell)
-    if log is None or agent not in log.carriers:
+    start = sim._runs.get(agent.cell)
+    carriers = sim._groups[agent.cell][1] if start is not None else ()
+    if agent not in carriers:
         return 0
     last = (sim.epoch - 1) % EPOCHS_PER_DAY  # an open run lasts to the last epoch stepped
-    return (last - log.first + 1) * (len(log.carriers) - 1)
+    return (last - start + 1) * (len(carriers) - 1)
 
 
 class TestDeferredEncounterLog:
@@ -619,7 +618,7 @@ class TestChangeDrivenPlacement:
                 entered += sum(q < now for q, now in zip(in_q, now_q))
                 left += sum(q > now for q, now in zip(in_q, now_q))
         assert entered and extended
-        if cfg.horizon_days > QUARANTINE_DAYS:
+        if cfg.horizon_days > QUARANTINE_DAYS:  # the 18-day world: agents also leave Q
             assert left and held
 
 
@@ -655,28 +654,6 @@ class TestTimers:
 
 
 class TestMovementModel:
-    def test_staggered_errands_spread_across_slots(self):
-        cfg = ScenarioConfig(
-            n_agents=60,
-            width=10,
-            height=10,
-            adoption=0.0,
-            beta_contact=0.0,
-            shared_space_cells=default_shared_cells(10, 10, 4),
-            errand_mode="staggered",
-            n_workplaces=0,
-            horizon_days=1,
-            n_index_cases=0,
-            seed=5,
-        )
-        sim = Simulation(cfg)
-        sim.step_epoch()  # errand slots are drawn at the start of each day
-        # 4 cells x 24 epochs = 96 slots >= 60 agents: every slot solo
-        from collections import Counter
-
-        slots = Counter((a.errand_cell, a.errand_epoch) for a in sim.agents)
-        assert max(slots.values()) == 1
-
     def test_seed_chains_stay_contiguous_and_bounded(self):
         sim = Simulation(BASE)
         sim.run()
