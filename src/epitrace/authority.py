@@ -55,18 +55,13 @@ class PublicBoard:
         return [e.report for e in self._entries]
 
     def identifier_set(self) -> set[bytes]:
-        """Every identifier observable on the contact channel from the board."""
-        return channel_identifiers(self.reports())
-
-
-def channel_identifiers(reports: Iterable[ExposureReport]) -> set[bytes]:
-    """Every byte-string identifier observable on the contact channel from
-    these reports: published seeds plus all IDs derivable from them."""
-    out: set[bytes] = set()
-    for report in reports:
-        out.update(report.seeds)
-        out.update(report_id_set(report))
-    return out
+        """Every identifier observable on the contact channel from the board:
+        published seeds plus all IDs derivable from them."""
+        out: set[bytes] = set()
+        for e in self._entries:
+            out.update(e.report.seeds)
+            out.update(report_id_set(e.report))
+        return out
 
 
 def resolve_and_notify(escrow: EscrowTable, contact_digests: Iterable[str]) -> set[str]:

@@ -237,14 +237,14 @@ def cmd_coarsen_demo(args) -> int:
 
     muni = CellLabelMap({}, cell_deg=0.1, fallback_prefix="town")
     grans = [
-        ("grid 0.001deg / 15min", Granularity.grid(0.001, 15), None, None),
-        ("grid 0.01deg / 60min", Granularity.grid(0.01, 60), None, None),
-        ("municipality / 1day", Granularity(SpatialLevel.MUNICIPALITY, None, 1440), None, muni),
+        ("grid 0.001deg / 15min", Granularity.grid(0.001, 15)),
+        ("grid 0.01deg / 60min", Granularity.grid(0.01, 60)),
+        ("municipality / 1day", Granularity(SpatialLevel.MUNICIPALITY, None, 1440, muni)),
     ]
     lines = [f"{len(points)} raw points over {t} seconds"]
     report = {}
-    for label, g, poi_map, muni_map in grans:
-        visits = coarsen(points, g, poi_map, muni_map)
+    for label, g in grans:
+        visits = coarsen(points, g)
         cells = {v.cell for v in visits}
         lines.append(f"{label}: {len(visits)} visits across {len(cells)} cells")
         report[label] = [

@@ -17,7 +17,7 @@ import random
 import secrets
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import compress, repeat
 from operator import attrgetter, le, ne, sub, truediv
@@ -40,7 +40,7 @@ class TrackingStopped(RuntimeError):
 
 
 class MissingMap(ValueError):
-    """POI or municipality coarsening requested without a lookup map."""
+    """A POI or municipality granularity built without its label map."""
 
 
 class GranularityTooFine(ValueError):
@@ -63,7 +63,6 @@ class EraseScope(Enum):
 
 
 class SpatialLevel(Enum):
-    EXACT_POINT = "exact_point"
     GRID = "grid"
     POI = "poi"
     MUNICIPALITY = "municipality"
@@ -102,34 +101,36 @@ _set_lat, _set_lon, _set_t = _slot_setters(LocationPoint)
 class Granularity:
     """A spatial level plus a temporal bin width in minutes.
 
-    Coarseness is ordered ExactPoint < Grid(0.001) < Grid(0.01) <
-    Grid(0.1) <= POI <= Municipality on the spatial axis and by bin width
-    on the temporal axis.
+    Coarseness is ordered Grid(0.001) < Grid(0.01) < Grid(0.1) <= POI <=
+    Municipality on the spatial axis and by bin width on the temporal axis.
+    A POI or municipality level carries the map that labels its cells; the
+    map takes no part in hashing, and ``to_json`` leaves it out.
     """
 
     spatial: SpatialLevel
     cell_deg: float | None = None
     bin_minutes: int = 60
+    labels: CellLabelMap | None = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
         if self.spatial is SpatialLevel.GRID:
             if self.cell_deg not in GRID_CELL_DEGREES:
                 raise ValueError(f"grid cell_deg must be one of {GRID_CELL_DEGREES}")
+            if self.labels is not None:
+                raise ValueError("labels only apply to POI and municipality granularity")
         elif self.cell_deg is not None:
             raise ValueError("cell_deg only applies to grid granularity")
-        if self.bin_minutes not in BIN_MINUTES:
-            raise ValueError(f"bin_minutes must be one of {BIN_MINUTES}")
+        elif not isinstance(self.labels, CellLabelMap):
+            raise MissingMap(f"{self.spatial.value} granularity requires a label map")
+        if type(self.bin_minutes) is not int or self.bin_minutes not in BIN_MINUTES:
+            raise ValueError(f"bin_minutes must be an int in {BIN_MINUTES}")
 
     @property
     def spatial_rank(self) -> int:
         """Position in the coarseness order; higher = coarser."""
-        if self.spatial is SpatialLevel.EXACT_POINT:
-            return 0
         if self.spatial is SpatialLevel.GRID:
-            return 1 + GRID_CELL_DEGREES.index(self.cell_deg)
-        if self.spatial is SpatialLevel.POI:
-            return 3  # at least as coarse as Grid(0.1)
-        return 4  # municipality
+            return GRID_CELL_DEGREES.index(self.cell_deg)
+        return 2 if self.spatial is SpatialLevel.POI else 3  # POI at least as coarse as Grid(0.1)
 
     def at_least_as_coarse(self, other: "Granularity") -> bool:
         return self.spatial_rank >= other.spatial_rank and self.bin_minutes >= other.bin_minutes
@@ -189,8 +190,12 @@ class SharePayload:
     body: tuple
 
     def __post_init__(self) -> None:
-        if len(self.pseudonym) != PSEUDONYM_BYTES:
-            raise ValueError(f"pseudonym must be {PSEUDONYM_BYTES} bytes")
+        if type(self.purpose) is not Purpose:
+            raise TypeError(f"purpose must be a Purpose, not {self.purpose!r}")
+        if type(self.pseudonym) is not bytes or len(self.pseudonym) != PSEUDONYM_BYTES:
+            raise ValueError(f"pseudonym must be {PSEUDONYM_BYTES} bytes of type bytes")
+        if type(self.body) is not tuple:
+            raise TypeError(f"body must be a tuple, not {type(self.body).__name__}")
 
 
 @dataclass(frozen=True)
@@ -217,39 +222,26 @@ def grid_cell(lat: float, lon: float, cell_deg: float) -> tuple[int, int]:
     return (math.floor(lat / cell_deg), math.floor(lon / cell_deg))
 
 
-def coarsen(
-    traj: Sequence[LocationPoint],
-    g: Granularity,
-    poi_map: CellLabelMap | None = None,
-    muni_map: CellLabelMap | None = None,
-) -> list[CoarsenedVisit]:
+def coarsen(traj: Sequence[LocationPoint], g: Granularity) -> list[CoarsenedVisit]:
     """Reduce a time-sorted trajectory to visits at the requested granularity.
 
     Consecutive points falling in the same (cell, bin) merge into a single
     visit whose dwell is the ceiling of the merged time span in minutes
     (minimum one minute for a lone fix).
     """
-    return _coarsen_columns([p.t for p in traj], [p.lat for p in traj], [p.lon for p in traj], g, poi_map, muni_map)
+    return _coarsen_columns([p.t for p in traj], [p.lat for p in traj], [p.lon for p in traj], g)
 
 
 def _coarsen_columns(
-    ts: Sequence[int], lats: Sequence[float], lons: Sequence[float], g: Granularity, poi_map, muni_map
+    ts: Sequence[int], lats: Sequence[float], lons: Sequence[float], g: Granularity
 ) -> list[CoarsenedVisit]:
     """``coarsen`` over the columns of time-sorted fixes: the (cell, bin)
     keys of all fixes are computed column by column, then one visit per run."""
-    if g.spatial is SpatialLevel.EXACT_POINT:
-        cells = zip(lats, lons)
-    elif g.spatial is SpatialLevel.GRID:
+    if g.spatial is SpatialLevel.GRID:
         d = g.cell_deg
         cells = [(math.floor(lat / d), math.floor(lon / d)) for lat, lon in zip(lats, lons)]  # as grid_cell
-    elif g.spatial is SpatialLevel.POI:
-        if poi_map is None:
-            raise MissingMap("POI granularity requires a poi_map")
-        cells = map(poi_map.label_for, lats, lons)
     else:
-        if muni_map is None:
-            raise MissingMap("municipality granularity requires a muni_map")
-        cells = map(muni_map.label_for, lats, lons)
+        cells = map(g.labels.label_for, lats, lons)
 
     w = g.bin_minutes * 60
     keys = list(zip(cells, [t // w * w for t in ts]))
@@ -366,30 +358,17 @@ class PersonalDataStore:
 
     # -- sharing ------------------------------------------------------------
 
-    def coarsened(
-        self,
-        g: Granularity,
-        window: tuple[int, int] | None = None,
-        poi_map: CellLabelMap | None = None,
-        muni_map: CellLabelMap | None = None,
-    ) -> list[CoarsenedVisit]:
+    def coarsened(self, g: Granularity, window: tuple[int, int] | None = None) -> list[CoarsenedVisit]:
         """Coarsen the stored history (optionally day-windowed) in place of
         handing out raw points."""
         ts = self._t
         lo, hi = 0, len(ts)
         if window is not None:
             lo, hi = bisect_left(ts, window[0] * 86400), bisect_left(ts, (window[1] + 1) * 86400)
-        return _coarsen_columns(ts[lo:hi], self._lat[lo:hi], self._lon[lo:hi], g, poi_map, muni_map)
+        return _coarsen_columns(ts[lo:hi], self._lat[lo:hi], self._lon[lo:hi], g)
 
     def build_share_payload(
-        self,
-        purpose: Purpose,
-        g: Granularity | None,
-        window: tuple[int, int],
-        *,
-        now: int = 0,
-        poi_map: CellLabelMap | None = None,
-        muni_map: CellLabelMap | None = None,
+        self, purpose: Purpose, g: Granularity | None, window: tuple[int, int], *, now: int = 0
     ) -> tuple[SharePayload, ConsentRecord]:
         """Assemble one outgoing payload and its consent record.
 
@@ -417,7 +396,7 @@ class PersonalDataStore:
             else:
                 body = tuple(self.contact_store.qualifying_contact_digests(window))
         else:
-            body = tuple(self.coarsened(g, window, poi_map, muni_map))
+            body = tuple(self.coarsened(g, window))
 
         pseudonym = self._rng.randbytes(PSEUDONYM_BYTES) if self._rng else secrets.token_bytes(PSEUDONYM_BYTES)
         consent = ConsentRecord(purpose, g, issued_at=now)

@@ -147,6 +147,14 @@ class TestIngestion:
         store.ingest_location_payload(location_payload([CoarsenedVisit((1, 1), 0, 5)], b"\x02" * 16))
         assert store.infected_count_at((1, 1), 0) == 1
 
+    def test_one_shot_body_is_refused_and_leaves_pseudonym_unused(self):
+        store = LocationStore()
+        visits = [CoarsenedVisit((1, 1), 0, 5)]
+        with pytest.raises(TypeError):
+            store.ingest_location_payload(SharePayload(Purpose.LOCATION_UPLOAD, b"\x02" * 16, iter(visits)))
+        store.ingest_location_payload(location_payload(visits, b"\x02" * 16))
+        assert store.infected_count_at((1, 1), 0) == 1
+
     @pytest.mark.parametrize(
         "bad_idx,bad",
         [(2, -3), (2, 1.5), (2, True), (1, False), (2, "a"), (3, 1 << 32), (0, None)],

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, artifacts, demo self-checks, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -204,6 +205,14 @@ class TestCoarsenDemo:
         report = json.loads((out / "coarsen_demo.json").read_text())
         sizes = [len(v) for v in report.values()]
         assert sizes == sorted(sizes, reverse=True)  # finer granularity, more visits
+        capsys.readouterr()
+
+    def test_seed_0_report_is_pinned(self, tmp_path, capsys):
+        """The only CLI path through a labelled level (municipality, with its
+        label map on the granularity)."""
+        assert main(["coarsen-demo", "--seed", "0", "--out", str(tmp_path)]) == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "coarsen_demo.json").read_bytes()).hexdigest()
+        assert digest == "4fca58b25662b513c82cd512b7291b45b496cee95df1e8fa5bae9f010373e499"
         capsys.readouterr()
 
 

@@ -28,12 +28,17 @@ from epitrace.pds import (
     MissingMap,
     PersonalDataStore,
     Purpose,
+    SharePayload,
     SpatialLevel,
     TrackingStopped,
     coarsen,
     grid_cell,
     minimum_granularity,
 )
+
+
+ORACLE_POI = CellLabelMap({(0, 0): "cafe", (1, 1): "park"}, cell_deg=0.01, fallback_prefix="poi")
+ORACLE_MUNI = CellLabelMap({(0, 0): "pisa"}, cell_deg=0.1)
 
 
 def make_pds(**kwargs):
@@ -150,59 +155,50 @@ class TestCoarsening:
     @pytest.mark.parametrize(
         "g",
         [
-            Granularity(SpatialLevel.EXACT_POINT, None, 1),
             Granularity.grid(0.001, 15),
             Granularity.grid(0.1, 60),
-            Granularity(SpatialLevel.POI, None, 60),
-            Granularity(SpatialLevel.MUNICIPALITY, None, 1440),
+            Granularity(SpatialLevel.POI, None, 60, ORACLE_POI),
+            Granularity(SpatialLevel.MUNICIPALITY, None, 1440, ORACLE_MUNI),
         ],
         ids=lambda g: f"{g.spatial.value}-{g.cell_deg}-{g.bin_minutes}",
     )
     def test_every_spatial_level_matches_brute_force(self, g):
-        poi = CellLabelMap({(0, 0): "cafe", (1, 1): "park"}, cell_deg=0.01, fallback_prefix="poi")
-        muni = CellLabelMap({(0, 0): "pisa"}, cell_deg=0.1)
-        cell_of = {
-            SpatialLevel.EXACT_POINT: lambda lat, lon: (lat, lon),
-            SpatialLevel.GRID: lambda lat, lon: grid_cell(lat, lon, g.cell_deg),
-            SpatialLevel.POI: poi.label_for,
-            SpatialLevel.MUNICIPALITY: muni.label_for,
-        }[g.spatial]
         rng = random.Random(43)
         for _ in range(30):
             points = random_walk(rng, 0.25)
-            got = [(v.cell, v.bin_start, v.dwell_min) for v in coarsen(points, g, poi, muni)]
-            assert sorted(got, key=lambda e: e[1]) == brute_force_visits(points, g, cell_of)
+            got = [(v.cell, v.bin_start, v.dwell_min) for v in coarsen(points, g)]
+            assert sorted(got, key=lambda e: e[1]) == brute_force_visits(points, g, oracle_cell_of(g))
 
     def test_single_fix_has_min_dwell(self):
         visits = coarsen([LocationPoint(0.0, 0.0, 50)], Granularity.grid(0.001, 1))
         assert visits[0].dwell_min == 1
 
     def test_poi_requires_map(self):
-        with pytest.raises(MissingMap):
-            coarsen([LocationPoint(0.0, 0.0, 0)], Granularity(SpatialLevel.POI, None, 60))
+        with pytest.raises(MissingMap, match="^poi granularity requires a label map"):
+            Granularity(SpatialLevel.POI, None, 60)
 
     def test_municipality_requires_map(self):
-        muni_as_poi = CellLabelMap({}, cell_deg=0.1)  # the map for the other level does not count
-        with pytest.raises(MissingMap):
-            coarsen([LocationPoint(0.0, 0.0, 0)], Granularity(SpatialLevel.MUNICIPALITY, None, 1440), muni_as_poi)
+        with pytest.raises(MissingMap, match="^municipality granularity requires a label map"):
+            Granularity(SpatialLevel.MUNICIPALITY, None, 1440)
+        with pytest.raises(MissingMap):  # a bare dict has no label_for, nor a fallback for unmapped cells
+            Granularity(SpatialLevel.MUNICIPALITY, None, 1440, {(0, 0): "pisa"})
 
     def test_municipality_labels(self):
-        muni = CellLabelMap({(0, 0): "pisa"}, cell_deg=0.1)
-        g = Granularity(SpatialLevel.MUNICIPALITY, None, 1440)
-        visits = coarsen([LocationPoint(0.05, 0.05, 0), LocationPoint(0.15, 0.05, 60)], g, muni_map=muni)
+        g = Granularity(SpatialLevel.MUNICIPALITY, None, 1440, ORACLE_MUNI)
+        visits = coarsen([LocationPoint(0.05, 0.05, 0), LocationPoint(0.15, 0.05, 60)], g)
         cells = {v.cell for v in visits}
         assert "pisa" in cells
         assert any(c.startswith("area:") for c in cells if c != "pisa")
 
     def test_coarser_granularity_never_more_cells_or_visits(self):
         rng = random.Random(7)
+        muni = CellLabelMap({}, cell_deg=0.1)  # synthetic labels: exactly the 0.1 grid
         ladder = [
             Granularity.grid(0.001, 15),
             Granularity.grid(0.01, 60),
             Granularity.grid(0.1, 1440),
-            Granularity(SpatialLevel.MUNICIPALITY, None, 1440),
+            Granularity(SpatialLevel.MUNICIPALITY, None, 1440, muni),
         ]
-        muni = CellLabelMap({}, cell_deg=0.1)  # synthetic labels: exactly the 0.1 grid
         for _ in range(25):
             t = 0
             points = []
@@ -211,7 +207,7 @@ class TestCoarsening:
                 points.append(LocationPoint(rng.uniform(0, 0.4), rng.uniform(0, 0.4), t))
             stats = []
             for g in ladder:
-                visits = coarsen(points, g, muni_map=muni)
+                visits = coarsen(points, g)
                 stats.append((len({v.cell for v in visits}), len(visits)))
             for (coarse_cells, coarse_visits), (fine_cells, fine_visits) in zip(stats[1:], stats):
                 assert coarse_cells <= fine_cells
@@ -235,14 +231,13 @@ class TestPolicyTable:
 
     def test_coarseness_order(self):
         ranks = [
-            Granularity(SpatialLevel.EXACT_POINT, None, 60).spatial_rank,
             Granularity.grid(0.001, 60).spatial_rank,
             Granularity.grid(0.01, 60).spatial_rank,
             Granularity.grid(0.1, 60).spatial_rank,
-            Granularity(SpatialLevel.POI, None, 60).spatial_rank,
-            Granularity(SpatialLevel.MUNICIPALITY, None, 60).spatial_rank,
+            Granularity(SpatialLevel.POI, None, 60, ORACLE_POI).spatial_rank,
+            Granularity(SpatialLevel.MUNICIPALITY, None, 60, ORACLE_MUNI).spatial_rank,
         ]
-        assert ranks[0] < ranks[1] < ranks[2] < ranks[3] <= ranks[4] <= ranks[5]
+        assert ranks[0] < ranks[1] < ranks[2] <= ranks[3] <= ranks[4]
 
     def test_granularity_validation(self):
         with pytest.raises(ValueError):
@@ -250,17 +245,22 @@ class TestPolicyTable:
         with pytest.raises(ValueError):
             Granularity.grid(0.01, 45)
         with pytest.raises(ValueError):
-            Granularity(SpatialLevel.POI, 0.01, 60)
+            Granularity(SpatialLevel.POI, 0.01, 60, ORACLE_POI)
+
+    def test_equal_and_hashed_with_a_map(self):
+        g = Granularity(SpatialLevel.MUNICIPALITY, None, 1440, CellLabelMap({(0, 0): "pisa"}, cell_deg=0.1))
+        assert g == Granularity(SpatialLevel.MUNICIPALITY, None, 1440, ORACLE_MUNI)
+        assert {g: 1}[Granularity(SpatialLevel.MUNICIPALITY, None, 1440, ORACLE_MUNI)] == 1
+        other_map = Granularity(SpatialLevel.MUNICIPALITY, None, 1440, CellLabelMap({}, cell_deg=0.1))
+        assert other_map != g and hash(other_map) == hash(g)  # the map is compared, not hashed
+        # the consent ledger records the level, not the map
+        assert g.to_json() == {"spatial": "municipality", "cell_deg": None, "bin_minutes": 1440}
 
 
 class TestSharePayloads:
     def test_too_fine_rejected(self):
         pds = make_pds()
         pds.grant_consent(Purpose.LOCATION_UPLOAD)
-        with pytest.raises(GranularityTooFine):
-            pds.build_share_payload(
-                Purpose.LOCATION_UPLOAD, Granularity(SpatialLevel.EXACT_POINT, None, 60), (0, 1)
-            )
         with pytest.raises(GranularityTooFine):
             pds.build_share_payload(Purpose.LOCATION_UPLOAD, Granularity.grid(0.001, 60), (0, 1))
         with pytest.raises(GranularityTooFine):
@@ -493,10 +493,10 @@ def snapshot_text(pds, tmp_path):
 
 
 COARSENINGS = [
-    Granularity(SpatialLevel.EXACT_POINT, None, 1),
     Granularity.grid(0.001, 15),
     Granularity.grid(0.01, 60),
     Granularity.grid(0.1, 1440),
+    Granularity(SpatialLevel.MUNICIPALITY, None, 1440, ORACLE_MUNI),
 ]
 
 
@@ -613,12 +613,19 @@ class TestValueObjects:
 VALID_FIELDS = {
     LocationPoint: {"lat": 0.0, "lon": 0.0, "t": 0},
     CoarsenedVisit: {"cell": (0, 0), "bin_start": 0, "dwell_min": 1},
+    Granularity: {"spatial": SpatialLevel.GRID, "cell_deg": 0.01, "bin_minutes": 60, "labels": None},
+    SharePayload: {"purpose": Purpose.LOCATION_UPLOAD, "pseudonym": b"\x02" * 16, "body": ()},
 }
 INVALID_VALUES = [
     *[(LocationPoint, "lat", v, "^lat ") for v in (math.nan, 90.5, -91.0, -math.inf)],
     *[(LocationPoint, "lon", v, "^lon ") for v in (math.nan, 180.5, -181.0, math.inf)],
     *[(LocationPoint, "t", v, "^t ") for v in (True, 1.0, 2**63, -(2**63) - 1)],
     *[(CoarsenedVisit, "dwell_min", v, "^dwell_min must be >= 1") for v in (0, -5)],
+    # a float or bool bin width once passed the policy check
+    *[(Granularity, "bin_minutes", v, "^bin_minutes must be an int") for v in (60.0, True)],
+    (Granularity, "labels", ORACLE_MUNI, "^labels only apply to POI and municipality"),
+    # a bytearray is unhashable at the authority; a str was counted
+    *[(SharePayload, "pseudonym", v, "^pseudonym must be 16 bytes") for v in (bytearray(16), "p" * 16)],
 ]
 
 
@@ -633,30 +640,42 @@ def test_every_check_runs_on_every_construction(cls, field, value, message):
         dataclasses.replace(cls(**VALID_FIELDS[cls]), **{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("purpose", "location_upload"),  # failed at the authority with AttributeError, not WrongPurpose
+        ("body", None),
+        ("body", [CoarsenedVisit((0, 0), 0, 1)]),
+        # a one-shot iterator passed the authority's check loop, stored nothing and used up the pseudonym
+        ("body", iter([CoarsenedVisit((0, 0), 0, 1)])),
+    ],
+    ids=["str-purpose", "none-body", "list-body", "iterator-body"],
+)
+def test_share_payload_field_types(field, value):
+    fields = {**VALID_FIELDS[SharePayload], field: value}
+    with pytest.raises(TypeError, match=f"^{field} must be a "):
+        SharePayload(**fields)
+    with pytest.raises(TypeError, match=f"^{field} must be a "):
+        dataclasses.replace(SharePayload(**VALID_FIELDS[SharePayload]), **{field: value})
+
+
 # -- column-wise coarsening against the per-fix oracle ----------------------------
 
-ORACLE_POI = CellLabelMap({(0, 0): "cafe", (1, 1): "park"}, cell_deg=0.01, fallback_prefix="poi")
-ORACLE_MUNI = CellLabelMap({(0, 0): "pisa"}, cell_deg=0.1)
 EVERY_GRANULARITY = [
-    Granularity(level, cell_deg, bin_minutes)
-    for level, cell_degs in (
-        (SpatialLevel.EXACT_POINT, (None,)),
-        (SpatialLevel.GRID, GRID_CELL_DEGREES),
-        (SpatialLevel.POI, (None,)),
-        (SpatialLevel.MUNICIPALITY, (None,)),
-    )
-    for cell_deg in cell_degs
-    for bin_minutes in BIN_MINUTES
+    *[Granularity.grid(cell_deg, bin_minutes) for cell_deg in GRID_CELL_DEGREES for bin_minutes in BIN_MINUTES],
+    *[
+        Granularity(level, None, bin_minutes, labels)
+        for level, labels in ((SpatialLevel.POI, ORACLE_POI), (SpatialLevel.MUNICIPALITY, ORACLE_MUNI))
+        for bin_minutes in BIN_MINUTES
+    ],
 ]
 
 
 def oracle_cell_of(g):
-    return {
-        SpatialLevel.EXACT_POINT: lambda lat, lon: (lat, lon),
-        SpatialLevel.GRID: lambda lat, lon: grid_cell(lat, lon, g.cell_deg),
-        SpatialLevel.POI: ORACLE_POI.label_for,
-        SpatialLevel.MUNICIPALITY: ORACLE_MUNI.label_for,
-    }[g.spatial]
+    """The cell of a fix, from the level's own label map or from ``grid_cell``."""
+    if g.spatial is SpatialLevel.GRID:
+        return lambda lat, lon: grid_cell(lat, lon, g.cell_deg)
+    return g.labels.label_for
 
 
 # a few days around 0, with instants on and next to bin edges so that fixes
@@ -678,7 +697,7 @@ class TestColumnCoarsening:
     @given(fixes, st.sampled_from(EVERY_GRANULARITY))
     def test_coarsen_matches_the_oracle_in_any_order(self, fixes, g):
         points = [LocationPoint(*f) for f in fixes]
-        got = as_tuples(coarsen(points, g, ORACLE_POI, ORACLE_MUNI))
+        got = as_tuples(coarsen(points, g))
         assert got == brute_force_visits(points, g, oracle_cell_of(g))
 
     @given(fixes, st.sampled_from(EVERY_GRANULARITY), st.integers(-2, 3), st.integers(-2, 3))
@@ -690,9 +709,9 @@ class TestColumnCoarsening:
             pds.append_location(LocationPoint(*f))
         stored = sorted((LocationPoint(*f) for f in fixes), key=lambda p: p.t)  # stable: ties keep arrival order
         inside = [p for p in stored if first_day * 86400 <= p.t < (last_day + 1) * 86400]
-        got = as_tuples(pds.coarsened(g, (first_day, last_day), ORACLE_POI, ORACLE_MUNI))
+        got = as_tuples(pds.coarsened(g, (first_day, last_day)))
         assert got == brute_force_visits(inside, g, oracle_cell_of(g))
-        assert as_tuples(pds.coarsened(g, None, ORACLE_POI, ORACLE_MUNI)) == brute_force_visits(
+        assert as_tuples(pds.coarsened(g, None)) == brute_force_visits(
             stored, g, oracle_cell_of(g)
         )
 
