@@ -211,30 +211,15 @@ def _sort_key(cell: Cell):
 
 
 def publish_risk_map(dmap: DensityMap, hotspots: Sequence[Hotspot]) -> RiskMap:
-    """Level 3 for hotspots; 2 and 1 for the top and middle terciles of the
-    remaining *published* counts (each at least ``K_ANON``); 0 elsewhere.
+    """Level 3 at each hotspot, 0 elsewhere.
 
-    Only published counts feed the tercile levels, so no small-count cell
-    can rise above level 0 unless it independently qualified as a hotspot.
+    A hotspot outside the space, or not on a bin start, marks nothing.
     """
-    space, counts = dmap.space, dmap.infected_counts
-    # hotspots outside the space or off a bin start match no entry
-    hot_idx = {space.exact_index(h.cell, h.bin_start) for h in hotspots} - {None}
-    rest = [i for i in dmap.unsuppressed if i not in hot_idx]
-
+    space = dmap.space
     levels = [0] * space.dimension
-    for i in hot_idx:
-        levels[i] = 3
-    if rest:
-        ranked = sorted(counts[i] for i in rest)
-        upper = ranked[2 * len(ranked) // 3]
-        lower = ranked[len(ranked) // 3]
-        for i in rest:
-            count = counts[i]
-            if count >= upper:
-                levels[i] = 2
-            elif count >= lower:
-                levels[i] = 1
+    for h in hotspots:
+        if (i := space.exact_index(h.cell, h.bin_start)) is not None:
+            levels[i] = 3
     return RiskMap(space, tuple(levels))
 
 

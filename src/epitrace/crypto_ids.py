@@ -10,7 +10,8 @@ daily secret and the epoch index.
 Two deployment modes share this code path: in decentralized mode seeds
 stay on the device until voluntarily published; in centralized mode a
 device escrows its daily seeds with the authority up front so the
-authority can resolve observed IDs back to a registrant token.
+authority can resolve the ID digests that contacts upload back to a
+registrant token.
 """
 
 from __future__ import annotations
@@ -41,29 +42,31 @@ class DailySeed:
     secret: bytes
 
     def __post_init__(self) -> None:
-        if self.day < 0:
-            raise ValueError(f"day must be >= 0, got {self.day}")
-        if len(self.secret) != SEED_BYTES:
-            raise ValueError(f"secret must be {SEED_BYTES} bytes, got {len(self.secret)}")
+        if type(self.day) is not int or self.day < 0:
+            raise ValueError(f"day must be an int >= 0, got {self.day!r}")
+        if type(self.secret) is not bytes or len(self.secret) != SEED_BYTES:
+            raise ValueError(f"secret must be {SEED_BYTES} bytes of type bytes")
 
 
 @dataclass(frozen=True)
 class ExposureReport:
     """Published material from which a positive user's IDs re-derive.
 
-    Covers a contiguous day range starting at ``first_day``; ``seeds``
-    holds the raw 32-byte secrets in day order.
+    Covers a contiguous day range starting at ``first_day``, an int in
+    [0, 2^64); ``seeds`` is a tuple of the raw 32-byte secrets in day order.
     """
 
     first_day: int
     seeds: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("report must cover at least one day")
+        if type(self.first_day) is not int or not 0 <= self.first_day < 1 << 64:
+            raise ValueError(f"first_day must be an int in [0, 2^64), got {self.first_day!r}")
+        if type(self.seeds) is not tuple or not self.seeds:
+            raise ValueError("seeds must be a non-empty tuple: a report covers at least one day")
         for s in self.seeds:
-            if len(s) != SEED_BYTES:
-                raise ValueError("every report seed must be 32 bytes")
+            if type(s) is not bytes or len(s) != SEED_BYTES:
+                raise ValueError(f"every report seed must be {SEED_BYTES} bytes of type bytes")
 
     @property
     def last_day(self) -> int:
@@ -76,6 +79,7 @@ class ExposureReport:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ExposureReport":
+        data = bytes(data)  # a bytearray or memoryview slices into seeds of type bytes
         if len(data) < 12:
             raise ValueError("truncated report header")
         first_day = int.from_bytes(data[:8], "big")
@@ -136,16 +140,14 @@ def report_id_set(report: ExposureReport) -> set[bytes]:
 
 
 class EscrowTable:
-    """Authority-side ID→registrant resolution for the centralized variant.
+    """Authority-side ID digest→registrant resolution, centralized variant.
 
-    Registration expands the seed to its 96 IDs immediately; no location
-    data is ever attached.  Resolution works both on raw IDs and on
-    SHA-256 digests of IDs (the form contacts upload).
+    Registration expands the seed to its 96 IDs and indexes each by its
+    SHA-256 digest, the form contacts upload; no location data is attached.
     """
 
     def __init__(self) -> None:
         self._entries: set[tuple[str, int]] = set()
-        self._by_id: dict[bytes, str] = {}
         self._by_digest: dict[str, str] = {}
 
     def __len__(self) -> int:
@@ -157,11 +159,7 @@ class EscrowTable:
             raise DuplicateRegistration(f"registrant {registrant!r} already escrowed day {seed.day}")
         self._entries.add(key)
         for raw in epoch_ids(seed.secret):
-            self._by_id[raw] = registrant
             self._by_digest[contact_digest(raw)] = registrant
-
-    def resolve(self, ephemeral_id: bytes) -> str | None:
-        return self._by_id.get(ephemeral_id)
 
     def resolve_digest(self, digest_hex: str) -> str | None:
         return self._by_digest.get(digest_hex)

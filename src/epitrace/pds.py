@@ -350,9 +350,6 @@ class PersonalDataStore:
     def grant_consent(self, purpose: Purpose) -> None:
         self._granted.add(purpose)
 
-    def has_consent(self, purpose: Purpose) -> bool:
-        return purpose in self._granted
-
     def consent_ledger(self) -> list[ConsentRecord]:
         return list(self._consents)
 

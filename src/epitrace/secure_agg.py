@@ -245,21 +245,27 @@ def mask_contribution(
 def aggregate(shares: Sequence[MaskedShare], n: int, dimension: int) -> list[int]:
     """Sum all shares mod 2^32; pairwise masks cancel, leaving exact sums.
 
-    Aborts (raises) without emitting anything partial when the share set
-    is not exactly the announced cohort.
+    Aborts (raises) without emitting anything partial when a share is
+    malformed (a participant that is not an int, a value that is not an int
+    in [0, 2^32)) or the share set is not exactly the announced cohort.
     """
     if n >= PARTICIPANT_BOUND:
         raise ValueError(f"{n} participants, need fewer than {PARTICIPANT_BOUND}")
     if len(shares) != n:
         raise WrongShareCount(f"expected {n} shares, got {len(shares)}")
-    participants = {s.participant for s in shares}
-    if participants != set(range(n)):
-        raise WrongShareCount(f"share set is not the announced cohort 0..{n - 1}")
     for s in shares:
+        if type(s.participant) is not int:
+            raise ValueError(f"participant {s.participant!r} is not an int")
         if len(s.values) != dimension:
             raise DimensionMismatch(
                 f"participant {s.participant} sent dimension {len(s.values)}, expected {dimension}"
             )
+        try:
+            struct.pack(f">{dimension}I", *s.values)  # one C pass: every value an int in [0, 2^32)
+        except struct.error:
+            raise ValueError(f"participant {s.participant} sent a value that is not an int in [0, 2^32)") from None
+    if {s.participant for s in shares} != set(range(n)):
+        raise WrongShareCount(f"share set is not the announced cohort 0..{n - 1}")
     if not shares:  # zip(*()) yields no columns
         return [0] * dimension
     return [sum(column) % MASK_MODULUS for column in zip(*(s.values for s in shares))]

@@ -32,7 +32,6 @@ class InsufficientHistory(ValueError):
 @dataclass(frozen=True)
 class ExposureScore:
     total: float
-    per_visit: tuple[tuple[CoarsenedVisit, float], ...]
 
 
 @dataclass(frozen=True)
@@ -46,16 +45,13 @@ class RoutineSegment:
 
 def exposure_score(visits: Sequence[CoarsenedVisit], risk: RiskMap) -> ExposureScore:
     """Dwell-weighted sum of risk levels over the user's own visits."""
-    per_visit = []
     total = 0.0
     for v in visits:
         idx = risk.space.index_of(v.cell, v.bin_start)
         if idx is None:
             raise SpaceMismatch(f"visit at {v.cell!r}/{v.bin_start} is outside the risk map space")
-        contribution = float(v.dwell_min * risk.levels[idx])
-        per_visit.append((v, contribution))
-        total += contribution
-    return ExposureScore(total, tuple(per_visit))
+        total += float(v.dwell_min * risk.levels[idx])
+    return ExposureScore(total)
 
 
 def flag_risky_segments(

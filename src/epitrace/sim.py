@@ -400,7 +400,6 @@ class Simulation:
                     retention_days=PDS_RETENTION_DAYS,
                 )
                 agent.pds.grant_consent(Purpose.LOCATION_UPLOAD)
-                agent.pds.grant_consent(Purpose.CONTACT_UPLOAD)
                 agent.fixes = [] if cfg.intervention.uploads_location else None
             agents.append(agent)
         return agents
@@ -658,7 +657,7 @@ class Simulation:
             self.events.append(NotifyEvent(self.epoch, agent.id, peer.id, peer.disease))
             self._quarantine(peer)
 
-        if mode.uploads_location and agent.pds.has_consent(Purpose.LOCATION_UPLOAD):
+        if mode.uploads_location:
             window = (max(0, day - (REPORT_WINDOW_DAYS - 1)), day)
             self._write_fixes(agent)  # the upload covers today so far
             payload, _consent = agent.pds.build_share_payload(

@@ -262,8 +262,8 @@ class TestRiskMaps:
         assert set(rmap.levels[1:]) == {0}
 
     def test_suppressed_counts_cannot_raise_level(self):
-        # a cell below the anonymity threshold publishes as zero and must
-        # stay at level 0 no matter how the terciles fall
+        # a cell below the anonymity threshold publishes as zero, is no
+        # hotspot, and stays at level 0
         counts = [0] * 12
         counts[0] = 20  # hotspot
         counts[1] = 4  # suppressed
@@ -275,15 +275,15 @@ class TestRiskMaps:
         assert rmap.levels[1] == 0
         assert rmap.levels[0] == 3
 
-    def test_terciles_among_nonzero(self):
+    def test_only_hotspots_rise_above_zero(self):
         counts = [0] * 12
         counts[1], counts[2], counts[3] = 5, 6, 7
         dmap = DensityMap(small_space(), tuple(counts))
-        rmap = publish_risk_map(dmap, [])  # pretend none qualified as hotspots
-        assert rmap.levels[3] == 2  # top tercile
-        assert rmap.levels[2] == 1  # middle
-        assert rmap.levels[1] == 0  # bottom
-        assert rmap.levels[0] == 0  # zero stays zero
+        assert publish_risk_map(dmap, []).levels == (0,) * 12  # published counts, but no hotspots
+        hot = [h for h in detect_hotspots(dmap) if h.infected_count != 6]
+        levels = publish_risk_map(dmap, hot).levels
+        assert (levels[1], levels[2], levels[3]) == (3, 0, 3)
+        assert set(levels) == {0, 3}
 
     def test_level_lookup(self):
         counts = [0] * 12
@@ -458,26 +458,10 @@ def ref_hotspots(dmap, k_anon):
     return found
 
 
-def ref_levels(dmap, hotspots, k_anon):
-    published = [c if c >= k_anon else 0 for c in dmap.infected_counts]
+def ref_levels(dmap, hotspots):
+    """3 at each (cell, bin start) named by a hotspot, 0 elsewhere."""
     hot = {(h.cell, h.bin_start) for h in hotspots}
-    hot_idx = {i for i in range(dmap.space.dimension) if dmap.space.coordinate(i) in hot}
-    nonzero = sorted(published[i] for i in range(len(published)) if published[i] > 0 and i not in hot_idx)
-    levels = [0] * dmap.space.dimension
-    for i in hot_idx:
-        levels[i] = 3
-    if nonzero:
-        m = len(nonzero)
-        upper = nonzero[(2 * m) // 3] if (2 * m) // 3 < m else nonzero[-1]
-        lower = nonzero[m // 3]
-        for i, count in enumerate(published):
-            if i in hot_idx or count == 0:
-                continue
-            if count >= upper:
-                levels[i] = 2
-            elif count >= lower:
-                levels[i] = 1
-    return tuple(levels)
+    return tuple(3 if dmap.space.coordinate(i) in hot else 0 for i in range(dmap.space.dimension))
 
 
 GRID = tuple((x, y) for x in range(5) for y in range(5))
@@ -530,10 +514,10 @@ class TestPublicationPassMatchesReference:
                 Hotspot(space.cells[-1], space.bins[-1], 1),
             ]
             for spots in (hotspots, hotspots + extra, extra, []):
-                assert publish_risk_map(dmap, spots).levels == ref_levels(dmap, spots, K_ANON)
+                assert publish_risk_map(dmap, spots).levels == ref_levels(dmap, spots)
             assert publish_risk_map(dmap, extra).levels[space.index_of(space.cells[0], space.bins[0])] != 3
 
     def test_empty_map(self):
         dmap = LocationStore().build_density_map(HOURLY)
         assert detect_hotspots(dmap) == ref_hotspots(dmap, 5) == []
-        assert publish_risk_map(dmap, []).levels == ref_levels(dmap, [], 5)
+        assert publish_risk_map(dmap, []).levels == ref_levels(dmap, [])

@@ -66,6 +66,19 @@ class TestSeedChain:
         with pytest.raises(ValueError):
             DailySeed(0, bytes(31))
 
+    @pytest.mark.parametrize("day", [1.5, True, "0"], ids=["float", "bool", "str"])
+    def test_seed_day_must_be_an_int(self, day):
+        with pytest.raises(ValueError, match="day must be an int"):
+            DailySeed(day, bytes(32))
+
+    @pytest.mark.parametrize(
+        "secret", ["a" * 32, bytearray(32), memoryview(bytes(32))], ids=["str", "bytearray", "memoryview"]
+    )
+    def test_seed_secret_must_be_bytes(self, secret):
+        # derive_next_seed hashes the secret, which a str cannot feed
+        with pytest.raises(ValueError, match="of type bytes"):
+            DailySeed(0, secret)
+
 
 class TestEphemeralIds:
     def test_schedule_has_96_ids(self):
@@ -140,6 +153,36 @@ class TestExposureReports:
         assert report.to_bytes() == expected
         assert ExposureReport.from_bytes(expected) == report
 
+    @pytest.mark.parametrize("first_day", [-1, 1 << 64, 1.5, True], ids=["negative", "2^64", "float", "bool"])
+    def test_first_day_must_be_a_u64(self, first_day):
+        # to_bytes writes first_day as a u64, so nothing outside one is a report
+        with pytest.raises(ValueError, match="first_day"):
+            ExposureReport(first_day, (bytes(32),))
+
+    def test_largest_first_day_round_trips(self):
+        report = ExposureReport((1 << 64) - 1, (bytes(32),))
+        assert ExposureReport.from_bytes(report.to_bytes()) == report
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            pytest.param(("a" * 32,), id="str-seed"),
+            pytest.param((bytearray(32),), id="bytearray-seed"),
+            pytest.param([bytes(32)], id="list"),  # a report must hash
+            pytest.param((), id="empty"),
+        ],
+    )
+    def test_seeds_must_be_a_tuple_of_bytes(self, seeds):
+        with pytest.raises(ValueError):
+            ExposureReport(0, seeds)
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_decoder_takes_any_bytes_like_input(self, wrap):
+        report = ExposureReport(3, (bytes(32), b"\x01" * 32))
+        decoded = ExposureReport.from_bytes(wrap(report.to_bytes()))
+        assert decoded == report
+        assert all(type(s) is bytes for s in decoded.seeds)
+
     def test_wire_format_rejects_truncation(self):
         blob = ExposureReport(0, (bytes(32),)).to_bytes()
         with pytest.raises(ValueError):
@@ -186,14 +229,13 @@ class TestEscrow:
         seed = DailySeed(2, b"\x07" * 32)
         table.escrow_register(seed, "phone-1")
         for eph in epoch_ids(seed.secret):
-            assert table.resolve(eph) == "phone-1"
             assert table.resolve_digest(contact_digest(eph)) == "phone-1"
 
     def test_unregistered_id_resolves_to_nothing(self):
         table = EscrowTable()
         table.escrow_register(DailySeed(0, b"\x01" * 32), "phone-1")
         stray = epoch_ids(b"\x02" * 32)[0]
-        assert table.resolve(stray) is None
+        assert table.resolve_digest(contact_digest(stray)) is None
 
     def test_disjoint_registrants_never_cross(self):
         rng = random.Random(11)
@@ -206,7 +248,7 @@ class TestEscrow:
         for token, chain in seeds.items():
             for s in chain:
                 for eph in epoch_ids(s.secret):
-                    assert table.resolve(eph) == token
+                    assert table.resolve_digest(contact_digest(eph)) == token
 
     def test_duplicate_registration_rejected(self):
         table = EscrowTable()

@@ -161,6 +161,26 @@ class TestAggregation:
         with pytest.raises(WrongShareCount):
             aggregate([shares[0], shares[1], MaskedShare(stranger, shares[2].values)], 3, 3)
 
+    @pytest.mark.parametrize("bad", [MASK_MODULUS, -1, 1.5, "1"], ids=["2^32", "negative", "float", "str"])
+    def test_malformed_value_aborts(self, bad):
+        rng = random.Random(8)
+        _r, _o, shares, _v = run_round(rng, 3, 3)
+        values = shares[1].values[:2] + (bad,)
+        with pytest.raises(ValueError, match="participant 1 sent a value"):
+            aggregate([shares[0], MaskedShare(1, values), shares[2]], 3, 3)
+        with pytest.raises(ValueError, match="participant 0 sent a value"):
+            aggregate([MaskedShare(0, (bad,))], 1, 1)
+
+    def test_value_range_ends_are_accepted(self):
+        assert aggregate([MaskedShare(0, (0, MASK_MODULUS - 1))], 1, 2) == [0, MASK_MODULUS - 1]
+
+    def test_bool_participant_aborts(self):
+        # True == 1, so it would pass the cohort check as participant 1
+        rng = random.Random(8)
+        _r, _o, shares, _v = run_round(rng, 2, 3)
+        with pytest.raises(ValueError, match="participant True is not an int"):
+            aggregate([shares[0], MaskedShare(True, shares[1].values)], 2, 3)
+
     def test_dimension_mismatch_aborts(self):
         rng = random.Random(8)
         _r, _o, shares, _v = run_round(rng, 3, 3)
