@@ -3,7 +3,8 @@
 The store never leaves the device: matching a published report against it
 is a pure local computation, and the only things that ever cross the
 module boundary are per-day exposure events (decentralized mode) or
-qualifying contact-ID digests (centralized mode).
+qualifying contact-ID digests (centralized mode).  A record matches only
+the report's ID for the day and epoch it was heard in.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .crypto_ids import EPHID_BYTES, EPOCHS_PER_DAY, ExposureReport, contact_digest, report_id_set
+from .crypto_ids import EPHID_BYTES, EPOCHS_PER_DAY, ExposureReport, contact_digest, ids_by_epoch
 
 RETENTION_DAYS = 14
 EXPOSURE_MIN_MINUTES = 15  # cumulative per day
@@ -22,6 +23,7 @@ ATTENUATION_CUTOFF = 60  # lower = closer; records above this are ignored
 
 _VALID_EPOCHS = bytes(range(EPOCHS_PER_DAY))
 _ONE_BYTE = tuple(bytes((b,)) for b in range(256))  # built once, not on every write
+_NO_IDS = ((), frozenset())
 
 
 @dataclass(slots=True)
@@ -38,6 +40,8 @@ class EncounterRecord:
         # inline checks: every stored record passes them twice
         if type(self.observed) is not bytes or len(self.observed) != EPHID_BYTES:  # checks hash it, exports hex it
             raise ValueError(f"observed id must be {EPHID_BYTES} bytes of type bytes")
+        if self.day < 0:
+            raise ValueError(f"day must be >= 0, got {self.day}")
         if not 0 <= self.epoch < EPOCHS_PER_DAY:
             raise ValueError(f"epoch must be in 0..{EPOCHS_PER_DAY - 1}, got {self.epoch}")
         if not 1 <= self.duration_min <= 15:
@@ -122,8 +126,8 @@ class ContactStore:
         """Append one record.  A record's fields can be reassigned after it
         was built, so they are checked again, against the types and ranges
         ``EncounterRecord`` checks; a failed check, or a field that is not an
-        int (``TypeError``), writes nothing.  The day is checked when its
-        columns open, so 3.0 once day 3 is held is stored as day 3."""
+        int (``TypeError``), writes nothing.  The day, an int >= 0, is checked
+        when its columns open, so 3.0 once day 3 is held is stored as day 3."""
         # hot: slot reads measured cheaper than locals
         if not (
             type(rec.observed) is bytes
@@ -136,6 +140,8 @@ class ContactStore:
         cols = self._days.get(rec.day)
         if cols is None:
             _check_ints(day=rec.day)
+            if rec.day < 0:
+                raise ValueError(f"day must be >= 0, got {rec.day}")
             cols = self._days[rec.day] = _DayColumns()
         try:  # a byte column rejects a non-int; unlike type checks, a try is free on success
             cols.epochs.append(rec.epoch)
@@ -161,6 +167,8 @@ class ContactStore:
         """
         if type(day) is not int or type(duration_min) is not int or type(attenuation) is not int:  # hot: no kwargs call
             _check_ints(day=day, duration_min=duration_min, attenuation=attenuation)  # raises, naming the field
+        if day < 0:
+            raise ValueError(f"day must be >= 0, got {day}")
         if not 1 <= duration_min <= 15:
             raise ValueError(f"duration_min must be in 1..15, got {duration_min}")
         if not 0 <= attenuation <= 100:
@@ -201,24 +209,31 @@ class ContactStore:
     def check_exposure(self, report: ExposureReport) -> list[ExposureEvent]:
         """Match a published report against the local log.
 
-        A record matches when its observed ID re-derives from any of the
-        report's seeds and its attenuation is at most ``ATTENUATION_CUTOFF``.
-        Matched minutes accumulate per day; each day at or above
-        ``EXPOSURE_MIN_MINUTES`` yields one event.
-        """
-        return self.check_exposure_ids(report_id_set(report))
+        A record heard on day d in epoch e matches when its observed ID is the
+        report's ID for (d, e), so not when replayed at another time, and its
+        attenuation is at most ``ATTENUATION_CUTOFF``.  Matched minutes per day
+        at or above ``EXPOSURE_MIN_MINUTES`` make one event.  IDs are derived
+        only for the report days the store holds, and the epochs held there."""
+        table = {}
+        for day, cols in self._days.items():
+            if 0 <= day - report.first_day < len(report.seeds):
+                held = _VALID_EPOCHS.translate(None, _VALID_EPOCHS.translate(None, cols.epochs))  # each epoch once
+                by_epoch = ids_by_epoch(report.seeds[day - report.first_day], held)
+                table[day] = (by_epoch, frozenset(by_epoch))  # a None slot is never heard
+        return self.check_exposure_ids(table)
 
-    def check_exposure_ids(self, ids: set[bytes]) -> list[ExposureEvent]:
-        """Same as check_exposure but against a pre-expanded ID set."""
+    def check_exposure_ids(self, table: dict[int, tuple[Sequence, frozenset[bytes]]]) -> list[ExposureEvent]:
+        """Same as check_exposure, against IDs derived beforehand: ``table`` maps a day to its
+        IDs by epoch (None if not derived) and as a set, as ``report_id_table`` builds."""
         events = []
         for day, cols in sorted(self._days.items()):
-            if ids.isdisjoint(cols.observed):
+            by_epoch, ids = table.get(day, _NO_IDS)
+            if ids.isdisjoint(cols.observed):  # a day without a hit: one C-level pass
                 continue
             total, epochs = 0, set()
-            epoch, duration, attenuation = cols.epochs, cols.durations, cols.attenuations
-            # the matched records only
-            for k in compress(range(len(epoch)), map(ids.__contains__, cols.observed)):
-                if attenuation[k] <= ATTENUATION_CUTOFF:
+            observed, epoch, duration, attenuation = cols.observed, cols.epochs, cols.durations, cols.attenuations
+            for k in compress(range(len(epoch)), map(ids.__contains__, observed)):
+                if by_epoch[epoch[k]] == observed[k] and attenuation[k] <= ATTENUATION_CUTOFF:
                     total += duration[k]
                     epochs.add(epoch[k])
             if total >= EXPOSURE_MIN_MINUTES:  # durations are >= 1, so epochs is not empty

@@ -98,23 +98,36 @@ def derive_next_seed(seed: DailySeed) -> DailySeed:
 
 def derive_epoch_id(secret: bytes, epoch: int) -> bytes:
     """Raw 16-byte ID for one epoch (0..95) of one daily secret."""
-    if not 0 <= epoch < EPOCHS_PER_DAY:
-        raise ValueError(f"epoch {epoch} outside 0..{EPOCHS_PER_DAY - 1}")
     return epoch_ids(secret, epoch, epoch + 1)[0]
 
 
 def epoch_ids(secret: bytes, start: int = 0, stop: int = EPOCHS_PER_DAY) -> list[bytes]:
     """The raw IDs of epochs ``start``..``stop - 1`` of one daily secret, in
-    epoch order; by default all 96.
+    epoch order, by default all 96; ``start`` and ``stop`` lie in 0..96 (else
+    ``ValueError``), and a ``stop`` at or before ``start`` gives none."""
+    if not (0 <= start <= EPOCHS_PER_DAY and 0 <= stop <= EPOCHS_PER_DAY):
+        bad = start if not 0 <= start <= EPOCHS_PER_DAY else min(stop, EPOCHS_PER_DAY)  # first epoch outside
+        raise ValueError(f"epoch {bad} outside 0..{EPOCHS_PER_DAY - 1}")
+    return _derive(secret, _EPOCH_SUFFIXES[start:stop])
 
-    Entry j equals ``derive_epoch_id(secret, start + j)``, and the range is
-    sliced like a list of the day's IDs.  The per-epoch suffixes are built
-    once at import, and each hash starts from a copy of the state after the
-    secret, which is cheaper than a fresh hash object.
-    """
-    base = hashlib.sha256(secret)
+
+def ids_by_epoch(secret: bytes, epochs: bytes) -> list[bytes | None]:
+    """One day's IDs in 96 slots by epoch, derived only for ``epochs`` (a bytes
+    of distinct epochs in 0..95, else ``ValueError``); the other slots hold None."""
+    if epochs and max(epochs) >= EPOCHS_PER_DAY:  # a byte is never negative
+        raise ValueError(f"epoch {max(epochs)} outside 0..{EPOCHS_PER_DAY - 1}")
+    if len(epochs) == EPOCHS_PER_DAY:  # every epoch, in the cheaper slice loop
+        return epoch_ids(secret)
+    row: list[bytes | None] = [None] * EPOCHS_PER_DAY
+    for epoch, eph in zip(epochs, _derive(secret, map(_EPOCH_SUFFIXES.__getitem__, epochs))):
+        row[epoch] = eph
+    return row
+
+
+def _derive(secret: bytes, suffixes) -> list[bytes]:
+    base = hashlib.sha256(secret)  # each hash copies this state: cheaper than a fresh one
     out = []
-    for suffix in _EPOCH_SUFFIXES[start:stop]:
+    for suffix in suffixes:
         h = base.copy()
         h.update(suffix)
         out.append(h.digest()[:EPHID_BYTES])
@@ -133,10 +146,12 @@ def report_from_seeds(seeds: list[DailySeed]) -> ExposureReport:
 
 def report_id_set(report: ExposureReport) -> set[bytes]:
     """Every raw ephemeral ID derivable from a report (all days, all epochs)."""
-    out: set[bytes] = set()
-    for secret in report.seeds:
-        out.update(epoch_ids(secret))
-    return out
+    return {raw for secret in report.seeds for raw in epoch_ids(secret)}
+
+
+def report_id_table(report: ExposureReport) -> dict[int, tuple[list[bytes], frozenset[bytes]]]:
+    """Every raw ID of a report by day, by epoch and as a set: the table ``ContactStore.check_exposure_ids`` takes."""
+    return {day: (ids, frozenset(ids)) for day, ids in enumerate(map(epoch_ids, report.seeds), report.first_day)}
 
 
 class EscrowTable:

@@ -50,7 +50,7 @@ from typing import Sequence, get_type_hints
 
 from .authority import LocationStore, PublicBoard, detect_hotspots, export_hotspots_json
 from .contact_store import ContactStore
-from .crypto_ids import EPOCHS_PER_DAY, DailySeed, derive_next_seed, epoch_ids, report_from_seeds, report_id_set
+from .crypto_ids import EPOCHS_PER_DAY, DailySeed, derive_next_seed, epoch_ids, report_from_seeds, report_id_table
 from .pds import Granularity, PersonalDataStore, Purpose
 from .secure_agg import CellIndexSpace
 
@@ -646,7 +646,7 @@ class Simulation:
             self._write_run(agent.cell, day, self._run_stop)
         report = report_from_seeds(agent.seed_chain[-REPORT_WINDOW_DAYS:])
         self.board.publish_report(report, published_day=day)
-        ids = report_id_set(report)
+        ids = report_id_table(report)  # derived once for all the partners
         for peer_id in sorted(self._partners[agent.id]):
             peer = self.agents[peer_id]
             if not peer.has_app:

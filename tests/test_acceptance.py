@@ -71,20 +71,21 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 # -- criterion 1: protocol correctness vs. brute-force oracle -----------------
 
 
-def _oracle_ids(report_obj):
-    ids = set()
-    for secret in report_obj.seeds:
-        for j in range(96):
-            digest = hashlib.sha256(secret + b"EPHID" + j.to_bytes(4, "big")).digest()
-            ids.add(digest[:16])
-    return ids
+def _oracle_id(secret, epoch):
+    return hashlib.sha256(secret + b"EPHID" + epoch.to_bytes(4, "big")).digest()[:16]
 
 
 def _oracle_events(store, report_obj):
-    ids = _oracle_ids(report_obj)
+    """Brute force: each record against the report's ID for its own day and epoch."""
+    own = {}  # (day, epoch) -> the report's ID there, derived once
     per_day = {}
     for r in store.records():
-        if r.attenuation <= 60 and r.observed in ids:
+        if r.attenuation > 60 or not report_obj.first_day <= r.day <= report_obj.last_day:
+            continue
+        key = (r.day, r.epoch)
+        if key not in own:
+            own[key] = _oracle_id(report_obj.seeds[r.day - report_obj.first_day], r.epoch)
+        if r.observed == own[key]:
             minutes, epochs = per_day.setdefault(r.day, (0, set()))
             per_day[r.day] = (minutes + r.duration_min, epochs | {r.epoch})
     return [
@@ -99,33 +100,39 @@ def test_criterion_1_exposure_matching_oracle():
     sizes = [rng.randrange(0, 1500) for _ in range(970)] + [5000] * 25 + [10_000] * 5
     rng.shuffle(sizes)
     started = time.monotonic()
-    checked = 0
+    checked = events = 0
     for size in sizes:
         chain = [DailySeed(rng.randrange(3), rng.randbytes(32))]
         for _ in range(rng.randrange(0, 14)):
             chain.append(derive_next_seed(chain[-1]))
         report_obj = report_from_seeds(chain)
-        pool = sorted(_oracle_ids(report_obj))
+        first, last = report_obj.first_day, report_obj.last_day
+        ids = {(d, e): _oracle_id(s, e) for d, s in enumerate(report_obj.seeds, first) for e in range(96)}
+        keys = list(ids)
         store = ContactStore()
         for _ in range(size):
-            observed = pool[rng.randrange(len(pool))] if rng.random() < 0.2 else rng.randbytes(16)
+            day, epoch, draw = rng.randrange(0, last + 4), rng.randrange(96), rng.random()
+            if draw < 0.1 and first <= day <= last:
+                observed = ids[day, epoch]  # heard in its own day and epoch: a match
+            elif draw < 0.2:
+                k = rng.randrange(len(keys))
+                if keys[k] == (day, epoch):
+                    k = (k + 1) % len(keys)
+                observed = ids[keys[k]]  # a replay, heard on another day or in another epoch: no match
+            else:
+                observed = rng.randbytes(16)
             store.record_encounter(
-                EncounterRecord(
-                    observed,
-                    rng.randrange(0, report_obj.last_day + 4),
-                    rng.randrange(96),
-                    rng.randrange(1, 16),
-                    rng.randrange(0, 101),
-                )
+                EncounterRecord(observed, day, epoch, rng.randrange(1, 16), rng.randrange(0, 101))
             )
         got = [(e.day, e.cumulative_min, e.matched_epochs) for e in store.check_exposure(report_obj)]
         assert got == _oracle_events(store, report_obj), f"mismatch on store of {size} records"
         checked += 1
+        events += len(got)
     elapsed = time.monotonic() - started
     report(
         "criterion 1 (protocol correctness)",
-        checked == 1000 and elapsed < 10.0,
-        f"{checked} randomized store/report pairs, zero mismatches, {elapsed:.1f}s < 10s",
+        checked == 1000 and events > 0 and elapsed < 10.0,
+        f"{checked} randomized store/report pairs ({events} exposure days), zero mismatches, {elapsed:.1f}s < 10s",
     )
 
 

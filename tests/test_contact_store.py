@@ -2,11 +2,13 @@
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epitrace import crypto_ids
 from epitrace.contact_store import (
     ATTENUATION_CUTOFF,
     EXPOSURE_MIN_MINUTES,
@@ -14,7 +16,13 @@ from epitrace.contact_store import (
     ContactStore,
     EncounterRecord,
 )
-from epitrace.crypto_ids import DailySeed, derive_next_seed, report_from_seeds
+from epitrace.crypto_ids import (
+    DailySeed,
+    ExposureReport,
+    derive_next_seed,
+    report_from_seeds,
+    report_id_table,
+)
 
 
 def rec(observed=b"\x01" * 16, day=0, epoch=0, duration=15, attenuation=30):
@@ -28,22 +36,49 @@ def seed_chain(rng, first_day, days):
     return out
 
 
+def oracle_id(secret, epoch):
+    """One epoch's ID of a daily secret, derived with plain SHA-256 (no epitrace code)."""
+    return hashlib.sha256(secret + b"EPHID" + epoch.to_bytes(4, "big")).digest()[:16]
+
+
 def oracle_expand(report):
-    """Independent re-derivation of every report ID (no epitrace code)."""
-    ids = set()
-    for secret in report.seeds:
-        for j in range(96):
-            digest = hashlib.sha256(secret + b"EPHID" + j.to_bytes(4, "big")).digest()
-            ids.add(digest[:16])
-    return ids
+    """Independent re-derivation of every report ID."""
+    return {oracle_id(secret, j) for secret in report.seeds for j in range(96)}
+
+
+def report_id_at(report, day, epoch):
+    """The report's ID for (day, epoch), or None for a day it does not cover."""
+    if report.first_day <= day <= report.last_day:
+        return oracle_id(report.seeds[day - report.first_day], epoch)
+    return None
+
+
+def one_id_table(record):
+    """A ``check_exposure_ids`` table holding only a record's own ID, at its day and epoch."""
+    by_epoch = [None] * 96
+    by_epoch[record.epoch] = record.observed
+    return {record.day: (by_epoch, frozenset([record.observed]))}
+
+
+def heard(rng, report, day, epoch):
+    """An ID heard on (day, epoch): the report's own ID for it, a replay of
+    the report's ID of another day or epoch, or a stranger's."""
+    draw, own = rng.random(), report_id_at(report, day, epoch)
+    if draw < 0.4 and own is not None:
+        return own
+    while draw < 0.7:
+        d, e = rng.randrange(report.first_day, report.last_day + 1), rng.randrange(96)
+        if (d, e) != (day, epoch):
+            return report_id_at(report, d, e)
+    return rng.randbytes(16)
 
 
 def oracle_check(store, report, min_minutes=EXPOSURE_MIN_MINUTES, cutoff=ATTENUATION_CUTOFF):
-    """Brute force: expand everything, scan the store linearly, sum per day."""
-    ids = oracle_expand(report)
+    """Brute force: scan the store linearly, derive each record's own
+    (day, epoch) ID from the report, sum matches per day."""
     per_day = {}
     for r in store.records():
-        if r.attenuation <= cutoff and r.observed in ids:
+        if r.attenuation <= cutoff and r.observed == report_id_at(report, r.day, r.epoch):
             minutes, epochs = per_day.setdefault(r.day, [0, set()])
             per_day[r.day][0] = minutes + r.duration_min
             per_day[r.day][1].add(r.epoch)
@@ -89,6 +124,7 @@ class TestRecording:
             ("duration_min", 0),
             ("duration_min", 16),
             ("attenuation", 101),
+            ("day", -1),
             ("observed", b"\x02" * 15),
             pytest.param("observed", bytearray(b"\x02" * 16), id="observed-bytearray"),
             pytest.param("observed", "\x02" * 16, id="observed-str"),
@@ -105,7 +141,7 @@ class TestRecording:
         good = rec(observed=b"\x03" * 16, epoch=5)
         store.record_encounter(good)
         assert store.records()[-1] == good
-        assert [e.matched_epochs for e in store.check_exposure_ids({good.observed})] == [(5,)]
+        assert [e.matched_epochs for e in store.check_exposure_ids(one_id_table(good))] == [(5,)]
 
     @pytest.mark.parametrize(
         "field, value", [("day", 2.5), ("epoch", 3.5), ("duration_min", 3.5), ("attenuation", 30.0)]
@@ -129,6 +165,24 @@ class TestRecording:
         later = [f"{day},7,9,20," + "04" * 16, f"{day},5,15,30," + "05" * 16]
         day_1 = ["1,0,15,30," + "03" * 16]
         assert store.export_lines() == before[2] + (later + day_1 if day == 0 else day_1 + later)
+
+
+class TestNegativeDay:
+    def test_record_rejected(self):
+        with pytest.raises(ValueError, match="day"):
+            EncounterRecord(b"\x01" * 16, -3, 0, 15, 30)
+
+    def test_batch_rejected_and_nothing_written(self):
+        store = ContactStore([rec(day=2)])
+        with pytest.raises(ValueError, match="day"):
+            store.record_observations([b"\x01" * 16], -2, [5], 15, 30)
+        assert store.export_lines() == ["2,0,15,30," + "01" * 16]
+
+    def test_line_does_not_load(self, tmp_path):
+        path = tmp_path / "store.csv"
+        path.write_text("-7,5,15,30," + "01" * 16 + "\n")
+        with pytest.raises(ValueError, match="day"):
+            ContactStore.load(path)
 
 
 class TestPruning:
@@ -179,18 +233,19 @@ class TestExposureMatching:
         rng = random.Random(3)
         chain = seed_chain(rng, 0, 1)
         report = report_from_seeds(chain)
-        an_id = next(iter(oracle_expand(report)))
+        an_id = oracle_id(chain[0].secret, 0)
         store = ContactStore([rec(observed=an_id, day=0, attenuation=80)])
         assert store.check_exposure(report) == []
+        store.record_encounter(rec(observed=an_id, day=0, attenuation=ATTENUATION_CUTOFF))
+        assert [e.cumulative_min for e in store.check_exposure(report)] == [15]
 
     def test_minutes_accumulate_across_epochs(self):
         rng = random.Random(4)
         chain = seed_chain(rng, 0, 1)
         report = report_from_seeds(chain)
-        ids = sorted(oracle_expand(report))
         store = ContactStore()
-        store.record_encounter(rec(observed=ids[0], day=0, epoch=10, duration=8))
-        store.record_encounter(rec(observed=ids[1], day=0, epoch=11, duration=8))
+        store.record_encounter(rec(observed=oracle_id(chain[0].secret, 10), day=0, epoch=10, duration=8))
+        store.record_encounter(rec(observed=oracle_id(chain[0].secret, 11), day=0, epoch=11, duration=8))
         events = store.check_exposure(report)
         assert len(events) == 1
         assert events[0].cumulative_min == 16
@@ -198,43 +253,63 @@ class TestExposureMatching:
 
     def test_matches_oracle_on_randomized_stores(self):
         rng = random.Random(77)
+        events = 0
         for _ in range(60):
             chain = seed_chain(rng, rng.randrange(5), rng.randrange(1, 15))
             report = report_from_seeds(chain)
-            pool = sorted(oracle_expand(report))
             store = ContactStore()
             for _ in range(rng.randrange(0, 400)):
-                if rng.random() < 0.35:
-                    observed = pool[rng.randrange(len(pool))]
-                else:
-                    observed = rng.randbytes(16)
-                store.record_encounter(
-                    rec(
-                        observed=observed,
-                        day=rng.randrange(report.first_day - 2, report.last_day + 3),
-                        epoch=rng.randrange(96),
-                        duration=rng.randrange(1, 16),
-                        attenuation=rng.randrange(0, 101),
-                    )
-                )
+                day, epoch = rng.randrange(max(0, report.first_day - 2), report.last_day + 3), rng.randrange(96)
+                observed = heard(rng, report, day, epoch)
+                store.record_encounter(rec(observed, day, epoch, rng.randrange(1, 16), rng.randrange(0, 101)))
             got = [(e.day, e.cumulative_min, e.matched_epochs) for e in store.check_exposure(report)]
             assert got == oracle_check(store, report)
+            events += len(got)
+        assert events  # the stores do hold exposures
+
+    def test_replayed_id_matches_nothing(self):
+        rng = random.Random(6)
+        report = report_from_seeds(seed_chain(rng, 3, 2))
+        own = report_id_at(report, 3, 20)
+        # the ID one epoch later, and on the report's other day
+        replays = ContactStore([rec(observed=own, day=3, epoch=21), rec(observed=own, day=4, epoch=20)])
+        assert replays.check_exposure(report) == []
+        assert replays.check_exposure_ids(report_id_table(report)) == []
+        replays.record_encounter(rec(observed=own, day=3, epoch=20))
+        assert [(e.day, e.matched_epochs) for e in replays.check_exposure(report)] == [(3, (20,))]
+
+    def test_check_derives_only_the_epochs_held(self, monkeypatch):
+        rng = random.Random(7)
+        report = report_from_seeds(seed_chain(rng, 4, 4))  # days 4..7
+        derived = []
+
+        class CountingHash:  # one copy of the hash state per ID derived
+            def __init__(self, state):
+                self.state = state
+
+            def copy(self):
+                derived.append(1)
+                return self.state.copy()
+
+        counting = SimpleNamespace(sha256=lambda data: CountingHash(hashlib.sha256(data)))
+        monkeypatch.setattr(crypto_ids, "hashlib", counting)
+        store = ContactStore()
+        # day 5 holds epochs 3 and 40, epoch 3 three times; day 20 is outside the report
+        store.record_observations([rng.randbytes(16) for _ in range(3)], 5, [3, 3, 3], 15, 30)
+        store.record_observations([report_id_at(report, 5, 40)], 5, [40], 15, 30)
+        store.record_observations([rng.randbytes(16)], 20, [3], 15, 30)
+        assert [(e.day, e.matched_epochs) for e in store.check_exposure(report)] == [(5, (40,))]
+        assert len(derived) == 2
 
     def test_prune_then_match_commutes(self):
         rng = random.Random(88)
         for _ in range(20):
             chain = seed_chain(rng, 0, 14)
             report = report_from_seeds(chain)
-            pool = sorted(oracle_expand(report))
-            records = [
-                rec(
-                    observed=pool[rng.randrange(len(pool))],
-                    day=rng.randrange(0, 20),
-                    epoch=rng.randrange(96),
-                    duration=15,
-                )
-                for _ in range(80)
-            ]
+            records = []
+            for _ in range(80):
+                day, epoch = rng.randrange(0, 20), rng.randrange(96)
+                records.append(rec(observed=heard(rng, report, day, epoch), day=day, epoch=epoch, duration=15))
             today = 18
             pruned = ContactStore(list(records))
             pruned.prune(today)
@@ -244,6 +319,46 @@ class TestExposureMatching:
             cutoff = today - RETENTION_DAYS
             events_then_drop = [e for e in full.check_exposure(report) if e.day > cutoff]
             assert events_after_prune == events_then_drop
+
+
+@st.composite
+def store_and_report(draw):
+    """A report of 1..4 days and a store of own-epoch IDs, replays of the
+    report's IDs (another day's ID of the same epoch among them), and
+    strangers' IDs, on days in and around the report."""
+    first, n_days = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.binary(min_size=32, max_size=32), min_size=n_days, max_size=n_days))
+    report = ExposureReport(first, tuple(seeds))
+    record = st.tuples(
+        st.sampled_from(["own", "replay", "stranger"]),
+        st.integers(max(0, first - 2), first + n_days + 1),  # day
+        st.integers(0, 95),  # epoch
+        st.integers(first, first + n_days - 1),  # the replayed ID's day
+        st.none() | st.integers(0, 95),  # and epoch, None for the epoch heard in
+        st.binary(min_size=16, max_size=16),  # a stranger's ID
+        st.integers(1, 15),
+        st.integers(0, 100),
+    )
+    store = ContactStore()
+    for kind, day, epoch, replay_day, replay_epoch, stranger, *fields in draw(st.lists(record, max_size=60)):
+        if kind == "own" and report.first_day <= day <= report.last_day:
+            observed = report_id_at(report, day, epoch)
+        elif kind == "stranger":
+            observed = stranger
+        else:
+            observed = report_id_at(report, replay_day, epoch if replay_epoch is None else replay_epoch)
+        store.record_encounter(rec(observed, day, epoch, *fields))
+    return store, report
+
+
+class TestBoundMatching:
+    @settings(deadline=None)
+    @given(store_and_report())
+    def test_check_equals_full_table_and_oracle(self, case):
+        store, report = case
+        events = store.check_exposure(report)
+        assert events == store.check_exposure_ids(report_id_table(report))
+        assert [(e.day, e.cumulative_min, e.matched_epochs) for e in events] == oracle_check(store, report)
 
 
 class TestContactDigests:
@@ -292,21 +407,17 @@ class TestCheckpointFormat:
 
 def random_batches(rng, report, n_batches):
     """(observed IDs, day, epochs, duration, attenuation) batches with one
-    epoch per ID, a third of the IDs drawn from the report, days written
-    out of order.  Half the batches hold one epoch throughout, the others
-    an arbitrary epoch per ID."""
-    pool = sorted(oracle_expand(report))
+    epoch per ID, each ID drawn by ``heard``, days written out of order.
+    Half the batches hold one epoch throughout, the others an arbitrary
+    epoch per ID."""
     batches = []
     for _ in range(n_batches):
-        observed = [
-            pool[rng.randrange(len(pool))] if rng.random() < 0.35 else rng.randbytes(16)
-            for _ in range(rng.randrange(0, 6))
-        ]
+        day, n = rng.randrange(max(0, report.first_day - 2), report.last_day + 3), rng.randrange(0, 6)
         if rng.random() < 0.5:
-            epochs = [rng.randrange(96)] * len(observed)
+            epochs = [rng.randrange(96)] * n
         else:
-            epochs = [rng.randrange(96) for _ in observed]
-        day = rng.randrange(report.first_day - 2, report.last_day + 3)
+            epochs = [rng.randrange(96) for _ in range(n)]
+        observed = [heard(rng, report, day, epoch) for epoch in epochs]
         batches.append((observed, day, epochs, rng.randrange(1, 16), rng.randrange(0, 101)))
     return batches
 
@@ -389,7 +500,7 @@ class TestBulkRecording:
             with pytest.raises(ValueError):
                 store.record_observations([b"\x01" * 16, bad, b"\x03" * 16], 0, [6] * 3, 15, 30)
         assert store.export_lines() == ["0,5,15,30," + "01" * 16]
-        assert [e.matched_epochs for e in store.check_exposure_ids({b"\x01" * 16})] == [(5,)]
+        assert [e.matched_epochs for e in store.check_exposure_ids(one_id_table(rec(epoch=5)))] == [(5,)]
 
     def test_records_listed_day_by_day_in_first_write_order(self):
         store = ContactStore()
@@ -401,10 +512,9 @@ class TestBulkRecording:
     def test_day_of_only_distant_matches_emits_nothing(self):
         rng = random.Random(5)
         report = report_from_seeds(seed_chain(rng, 0, 2))
-        ids = sorted(oracle_expand(report))
         store = ContactStore()
         # day 0: the only matches are too far away; day 1: no match at all
-        store.record_observations(ids[:3], 0, [4] * 3, 15, ATTENUATION_CUTOFF + 1)
+        store.record_observations([report_id_at(report, 0, 4)] * 3, 0, [4] * 3, 15, ATTENUATION_CUTOFF + 1)
         store.record_observations([rng.randbytes(16)], 0, [5], 15, 10)
         store.record_observations([rng.randbytes(16)], 1, [5], 15, 10)
         assert store.check_exposure(report) == []
@@ -414,7 +524,7 @@ class TestBulkRecording:
 record_fields = st.builds(
     rec,
     observed=st.binary(min_size=16, max_size=16),
-    day=st.integers(-(10**6), 10**6),
+    day=st.integers(0, 10**6),
     epoch=st.integers(0, 95),
     duration=st.integers(1, 15),
     attenuation=st.integers(0, 100),

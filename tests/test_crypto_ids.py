@@ -18,8 +18,10 @@ from epitrace.crypto_ids import (
     derive_epoch_id,
     derive_next_seed,
     epoch_ids,
+    ids_by_epoch,
     report_from_seeds,
     report_id_set,
+    report_id_table,
 )
 
 ZERO_SEED = DailySeed(0, bytes(32))
@@ -123,6 +125,26 @@ class TestEphemeralIds:
                 assert epoch_ids(secret, start, stop) == day[start:stop]
         assert epoch_ids(bytes(32), 1, 2) == [bytes.fromhex(EPHID_ZERO_EPOCH1)]
 
+    @pytest.mark.parametrize(
+        "start, stop, first_outside", [(-5, 96, -5), (-1, 0, -1), (90, 200, 96), (0, 97, 96), (97, 97, 97), (0, -3, -3)]
+    )
+    def test_epoch_range_outside_the_day_rejected(self, start, stop, first_outside):
+        # a negative start once wrapped round to the day's last epochs
+        with pytest.raises(ValueError, match=f"epoch {first_outside} outside 0..95"):
+            epoch_ids(bytes(32), start, stop)
+
+    def test_ids_by_epoch_derives_the_given_epochs_in_their_slots(self):
+        rng = random.Random(14)
+        secret = rng.randbytes(32)
+        day = epoch_ids(secret)
+        for epochs in (b"", bytes([40, 3]), bytes([95]), bytes(range(96))):
+            assert ids_by_epoch(secret, epochs) == [day[e] if e in epochs else None for e in range(96)]
+
+    @pytest.mark.parametrize("bad", [96, 255])
+    def test_ids_by_epoch_outside_the_day_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"epoch {bad} outside 0..95"):
+            ids_by_epoch(bytes(32), bytes([3, bad]))
+
 
 class TestExposureReports:
     def test_fourteen_day_report(self):
@@ -210,6 +232,17 @@ class TestExposureReports:
         via_set = report_id_set(report)
         via_schedules = {raw for s in chain for raw in epoch_ids(s.secret)}
         assert via_set == via_schedules
+
+    def test_id_table_binds_each_id_to_its_day_and_epoch(self):
+        rng = random.Random(6)
+        report = report_from_seeds(_chain(DailySeed(2, rng.randbytes(32)), 3))
+        table = report_id_table(report)
+        assert list(table) == [2, 3, 4]
+        for day, secret in zip(table, report.seeds):
+            by_epoch, ids = table[day]
+            assert by_epoch == [hashlib.sha256(secret + b"EPHID" + bytes([0, 0, 0, j])).digest()[:16] for j in range(96)]
+            assert ids == set(by_epoch)
+        assert set().union(*(ids for _, ids in table.values())) == report_id_set(report)
 
 
 class TestForwardSecrecyShape:
