@@ -179,10 +179,12 @@ _set_cell, _set_bin_start, _set_infected_count = _slot_setters(Hotspot)
 
 @dataclass(frozen=True)
 class RiskMap:
-    """Published per-(cell, bin) risk levels 0..3."""
+    """Published per-(cell, bin) risk levels 0..3, one per entry of
+    ``space`` in index order: ``bytes`` as published, any int sequence
+    when built by hand."""
 
     space: CellIndexSpace
-    levels: tuple[int, ...]
+    levels: Sequence[int]
 
     def __post_init__(self) -> None:
         if len(self.levels) != self.space.dimension:
@@ -211,16 +213,17 @@ def _sort_key(cell: Cell):
 
 
 def publish_risk_map(dmap: DensityMap, hotspots: Sequence[Hotspot]) -> RiskMap:
-    """Level 3 at each hotspot, 0 elsewhere.
+    """Level 3 at each hotspot, 0 elsewhere, as ``bytes``: one byte per
+    entry, and an object the garbage collector never walks.
 
     A hotspot outside the space, or not on a bin start, marks nothing.
     """
     space = dmap.space
-    levels = [0] * space.dimension
+    levels = bytearray(space.dimension)
     for h in hotspots:
         if (i := space.exact_index(h.cell, h.bin_start)) is not None:
             levels[i] = 3
-    return RiskMap(space, tuple(levels))
+    return RiskMap(space, bytes(levels))
 
 
 # -- export formats ----------------------------------------------------------

@@ -271,7 +271,8 @@ class PersonalDataStore:
     The history is three columns sorted by ``t`` (a fix with an equal ``t``
     goes after those already stored).  ``retention_days`` is the owner's
     data-minimization choice: when set, points older than that horizon
-    (relative to the newest point) are silently dropped on append.
+    (relative to the newest point) are silently dropped on append; it must
+    be ``None`` or an ``int`` >= 0 (not a ``bool``).
     """
 
     def __init__(
@@ -280,6 +281,8 @@ class PersonalDataStore:
         contact_store: ContactStore | None = None,
         retention_days: int | None = None,
     ) -> None:
+        if retention_days is not None and not (type(retention_days) is int and retention_days >= 0):
+            raise ValueError(f"retention_days {retention_days!r} is not None or an int >= 0")
         self._t, self._lat, self._lon = array("q"), array("d"), array("d")
         self._consents: list[ConsentRecord] = []
         self._granted: set[Purpose] = set()

@@ -64,7 +64,6 @@ ENCOUNTER_ATTENUATION = 30
 WORLD_CELL_DEG = 0.01  # one world cell = one Grid(0.01) cell
 PDS_SAMPLE_EVERY = 4  # one location fix per hour
 PDS_RETENTION_DAYS = 15
-STORE_PRUNE_EVERY_DAYS = 7
 DENSITY_BIN_SECONDS = 3600  # the analysis bins, as wide as the upload bins
 
 
@@ -447,18 +446,13 @@ class Simulation:
 
     def _start_day(self, day: int) -> None:
         rng, shared = self.rng, self._shared
-        prune_day = day % STORE_PRUNE_EVERY_DAYS == 0
         for agent in self.agents:
             if agent.has_app:
                 if day > 0:
                     agent.seed_chain.append(derive_next_seed(agent.seed_chain[-1]))
                     if len(agent.seed_chain) > REPORT_WINDOW_DAYS:
                         del agent.seed_chain[0]
-                if prune_day:
-                    # lazy retention: stale records cannot match a fresh
-                    # report anyway (their IDs derive from seeds outside
-                    # every future report window), so weekly is enough
-                    agent.store.prune(day)
+                agent.store.prune(day)
         if not shared:
             return
         errands = self._errands = [[] for _ in range(EPOCHS_PER_DAY)]

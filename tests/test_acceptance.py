@@ -446,7 +446,7 @@ def test_criterion_9_suppression_soundness(tmp_path):
         if case % 100 == 0:
             hotspots = detect_hotspots(dmap)
             rmap = publish_risk_map(dmap, hotspots)
-            assert rmap.levels == tuple(3 if c >= K_ANON else 0 for c in counts), f"levels from {counts}"
+            assert rmap.levels == bytes(3 if c >= K_ANON else 0 for c in counts), f"levels from {counts}"
             for h in hotspots:
                 assert h.infected_count >= 5
             export_density_csv(dmap, tmp_path / "fuzz.csv")

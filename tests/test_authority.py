@@ -1,5 +1,6 @@
 """Authority backend: board, escrow notification, density maps, risk maps."""
 
+import gc
 import json
 import random
 import tracemalloc
@@ -279,11 +280,21 @@ class TestRiskMaps:
         counts = [0] * 12
         counts[1], counts[2], counts[3] = 5, 6, 7
         dmap = DensityMap(small_space(), tuple(counts))
-        assert publish_risk_map(dmap, []).levels == (0,) * 12  # published counts, but no hotspots
+        assert publish_risk_map(dmap, []).levels == bytes(12)  # published counts, but no hotspots
         hot = [h for h in detect_hotspots(dmap) if h.infected_count != 6]
         levels = publish_risk_map(dmap, hot).levels
         assert (levels[1], levels[2], levels[3]) == (3, 0, 3)
         assert set(levels) == {0, 3}
+
+    def test_published_levels_are_untracked_bytes(self):
+        # one byte per entry, in an object the cyclic collector never walks:
+        # a young collection inside a timed call would otherwise scan it
+        counts = [0] * 12
+        counts[0] = 9
+        dmap = DensityMap(small_space(), tuple(counts))
+        levels = publish_risk_map(dmap, detect_hotspots(dmap)).levels
+        assert type(levels) is bytes
+        assert not gc.is_tracked(levels)
 
     def test_level_lookup(self):
         counts = [0] * 12
@@ -461,7 +472,7 @@ def ref_hotspots(dmap, k_anon):
 def ref_levels(dmap, hotspots):
     """3 at each (cell, bin start) named by a hotspot, 0 elsewhere."""
     hot = {(h.cell, h.bin_start) for h in hotspots}
-    return tuple(3 if dmap.space.coordinate(i) in hot else 0 for i in range(dmap.space.dimension))
+    return bytes(3 if dmap.space.coordinate(i) in hot else 0 for i in range(dmap.space.dimension))
 
 
 GRID = tuple((x, y) for x in range(5) for y in range(5))

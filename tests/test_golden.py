@@ -31,8 +31,8 @@ BASE = ScenarioConfig(
 CONFIGS = {
     "none": BASE,
     "contact": replace(BASE, intervention=Intervention.CONTACT_TRACING),
-    # 18 days: the weekly contact-store prune runs on days 7 and 14 and
-    # the 15-day PDS retention drops points from day 16 on
+    # 18 days: the daily contact-store prune drops records from day 14 on
+    # and the 15-day PDS retention drops points from day 16 on
     "contact+location": replace(
         BASE,
         intervention=Intervention.CONTACT_AND_LOCATION,

@@ -124,6 +124,18 @@ class TestCollection:
         pds.append_location(LocationPoint(0.0, 0.0, 3 * 86400))
         assert len(pds) == 1
 
+    @pytest.mark.parametrize("bad", [-1, "2", 1.5, 2.0, True, False, [2]])
+    def test_retention_days_rejects_non_int_or_negative(self, bad):
+        # -1 would erase every fix, and "2" would fail only at the first append
+        with pytest.raises(ValueError, match="^retention_days "):
+            PersonalDataStore(retention_days=bad)
+
+    def test_retention_days_zero_keeps_the_newest_instant(self):
+        pds = PersonalDataStore(retention_days=0)
+        pds.append_location(LocationPoint(0.0, 0.0, 0))
+        pds.append_locations([5, 5], [0.0, 1.0], [0.0, 1.0])
+        assert [(p.lat, p.t) for p in pds._points] == [(0.0, 5), (1.0, 5)]  # noqa: SLF001
+
 
 class TestCoarsening:
     def test_grid_cell_example(self):

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
+from epitrace.contact_store import RETENTION_DAYS
 from epitrace.crypto_ids import derive_epoch_id, epoch_ids
 from epitrace.pds import LocationPoint
 from epitrace.sim import (
@@ -506,6 +507,24 @@ class TestDeferredEncounterLog:
             if epoch % EPOCHS_PER_DAY == EPOCHS_PER_DAY - 1:
                 assert sum(derived) == accompanied
         assert 0 < accompanied < len(carriers) * cfg.horizon_days * EPOCHS_PER_DAY
+
+
+class TestContactLogRetention:
+    def test_no_log_holds_a_day_past_retention(self):
+        # past 14 days, so the prune has days to drop; checked after each
+        # day's first step, which runs the day-start prune
+        cfg = replace(BASE, intervention=Intervention.CONTACT_TRACING, horizon_days=22)
+        sim = Simulation(cfg)
+        oldest_held = []
+        for day in range(cfg.horizon_days):
+            sim.step_epoch()
+            days = {r.day for a in carriers_of(sim) for r in a.store.records()}
+            assert not days or min(days) > day - RETENTION_DAYS, f"day {day} holds day {min(days)}"
+            oldest_held.append(min(days, default=None))
+            for _ in range(EPOCHS_PER_DAY - 1):
+                sim.step_epoch()
+        # the prune drops only what retention allows: a full window stays held
+        assert oldest_held[RETENTION_DAYS:] == list(range(1, cfg.horizon_days - RETENTION_DAYS + 1))
 
 
 class PerFixWriting(Simulation):
